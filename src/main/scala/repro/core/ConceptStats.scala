@@ -29,10 +29,6 @@ final class RunningVec(val dim: Int) extends Serializable {
   def meanVector: Array[Double] = means.clone()
   def totalCount: Double = if (dim == 0) 0 else counts(0)
 
-  /** Forget selected dimensions (classifier-plasticity reset, paper §IV). */
-  def resetDims(idx: IterableOnce[Int]): Unit =
-    idx.iterator.foreach { i => counts(i) = 0; means(i) = 0; m2s(i) = 0 }
-
   /** Soft plasticity: keep each dim's mean/σ but shrink its effective count
     * so subsequent fingerprints move the distribution `1/factor`× faster.
     * Avoids the discontinuity a hard reset would inject into similarity.

@@ -72,7 +72,6 @@ final class FiCSUM(
   private var simEwma: Double = Double.NaN
   private var normEwma: Double = Double.NaN
   private var breachCount: Int = 0
-  @transient private var lastComparison: (Array[Double], Array[Double]) = null
   private var pendingSecondCheck: Long = -1L
   private var newConceptFromLastDrift: Option[ConceptState] = None
 
@@ -82,11 +81,6 @@ final class FiCSUM(
   /** Diagnostics counters. */
   var fingerprintUpdates: Long = 0
   var detectorUpdates: Long = 0
-
-  /** Optional hook receiving (obsIndex, simA) for each detector update —
-    * used by diagnostics and the streaming-layer equivalence test.
-    */
-  @transient var simHook: (Long, Double) => Unit = null
 
   /** Repository size (diagnostics). */
   def repositorySize: Int = repo.length
@@ -109,8 +103,6 @@ final class FiCSUM(
 
   private def simTo(s: ConceptState, raw: Array[Double], weights: Array[Double]): Double =
     Similarity.sim(normalizer.scale(s.stats.meanVector), normalizer.scale(raw), weights)
-
-  @transient var debugSelection: Boolean = false
 
   private def selectModel(
       win: IndexedSeq[Labeled],
@@ -148,12 +140,6 @@ final class FiCSUM(
     // vouch for any window and is never re-selected.
     val candidates = scored.filter { case (_, sim, mu, sd) =>
       mu >= 0.2 && math.abs(sim - mu) <= math.max(2 * sd, cfg.acceptMinBand)
-    }
-    if (debugSelection) {
-      val desc = scored.map { case (s, sim, mu, sd) =>
-        f"c${s.id}:sim=$sim%.3f mu=$mu%.3f sd=$sd%.3f"
-      }.mkString("  ")
-      Console.err.println(s"[select @$i] $desc -> ${candidates.map(_._1.id).mkString(",")}")
     }
     // Paper: "recurrence of the accepted M with highest Sim_WM".
     if (candidates.isEmpty) None
@@ -276,13 +262,11 @@ final class FiCSUM(
       if (active.frozen && active.stats.totalCount >= 2 && active.simStats.count >= 2) {
         detectorUpdates += 1
         val simA = simTo(active, fA, weights)
-        lastComparison = (fA, weights)
         // EWMA smoothing: consecutive fingerprints overlap by w−P_C
         // observations, so raw sims carry heavy-tailed sampling noise that
         // slows ADWIN's cut; smoothing trades a little lag for a much
         // cleaner level shift.
         simEwma = if (simEwma.isNaN) simA else 0.6 * simEwma + 0.4 * simA
-        if (simHook != null) simHook(i, simEwma)
         // Fast path: a deep, sustained breach of the concept's normal
         // similarity band is called immediately rather than waiting for
         // ADWIN's conservative bound to catch up — at these segment lengths
@@ -312,19 +296,6 @@ final class FiCSUM(
     if (pendingSecondCheck >= 0 && i >= pendingSecondCheck) secondCheck()
 
     (l, active.id)
-  }
-
-  /** Diagnostics: per-dim (name, scaledActiveMean, scaledFA, weightedDev)
-    * of the latest detector comparison, sorted by |weightedDev| descending.
-    */
-  def lastDeviations(): IndexedSeq[(String, Double, Double, Double)] = {
-    if (lastComparison == null) return IndexedSeq.empty
-    val (fA, weights) = lastComparison
-    val a = normalizer.scale(active.stats.meanVector)
-    val b = normalizer.scale(fA)
-    spec.dimNames.indices
-      .map(i => (spec.dimNames(i), a(i), b(i), weights(i) * (a(i) - b(i))))
-      .sortBy { case (_, _, _, d) => -math.abs(d) }
   }
 
   // ----------------------------------------------------------------- probe

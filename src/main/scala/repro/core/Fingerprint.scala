@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.classifier.HoeffdingTree
-import repro.meta.MetaFunction
+import repro.meta.{MetaFunction, SeqStats}
 
 /** One labelled observation as seen by the fingerprinting pipeline:
   * features, ground-truth label, predicted label (paper's triple
@@ -21,7 +21,8 @@ case object ErrorSource extends Source { def name = "err" }
 case object ErrorDistSource extends Source { def name = "errdist" }
 
 /** Which sources × functions make up a fingerprint. Variants (ER, S-MI,
-  * U-MI, single-function — paper §VI) are restrictions of the full spec.
+  * U-MI, single-function — paper §VI) are restrictions of the full spec:
+  * fewer sources, or fewer slots of the same per-source kernel pass.
   */
 final case class FingerprintSpec(
     numFeatures: Int,
@@ -38,6 +39,9 @@ final case class FingerprintSpec(
   }
 
   def dim: Int = dimNames.length
+
+  /** Kernel slots the functions select ([[SeqStats.describe]] bit mask). */
+  val slots: Int = functions.foldLeft(0)((m, f) => m | (1 << f.slot))
 
   /** Indices of dimensions that depend on the classifier's predictions —
     * these are reset when the classifier changes structurally (paper §IV).
@@ -121,9 +125,9 @@ object Fingerprinter {
     val out = new Array[Double](spec.dim)
     var k = 0
     for (s <- spec.sources) {
-      val seq = sourceSeq(s, window)
+      val vals = SeqStats.describe(sourceSeq(s, window), spec.slots)
       for (fn <- spec.functions) {
-        out(k) = fn(seq)
+        out(k) = vals(fn.slot)
         k += 1
       }
     }

@@ -113,13 +113,16 @@ object DynamicWeights {
     val dim = active.dim
     val w = new Array[Double](dim)
     val wD = new Array[Double](dim)
+    val withStats = repo.filter(_.stats.totalCount >= 2)
+    // Only `add` touches scStats, which counts every dim at once, so the
+    // per-dim count test is the same for all dims.
+    val withSc = repo.filter(_.scStats.totalCount >= 2)
     var i = 0
     while (i < dim) {
       val wSigma = 1.0 / math.max(scaledStd(active.stats, norm, i), SigmaFloor)
 
       // Inter-concept variation v_s: Fisher score of μ_mi across stored
       // concepts relative to the max within-concept σ.
-      val withStats = repo.filter(_.stats.totalCount >= 2)
       val vS =
         if (withStats.length >= 2) {
           val mus = withStats.map(s => scaledMean(s.stats, norm, i))
@@ -131,7 +134,6 @@ object DynamicWeights {
 
       // Intra-classifier variation v_sc: how much each stored classifier's
       // fingerprint moves on foreign data, relative to its home variation.
-      val withSc = repo.filter(_.scStats.count(i) >= 2)
       val vSc =
         if (withSc.nonEmpty)
           withSc.map { s =>

@@ -25,37 +25,13 @@ object Metrics {
     if (math.abs(1 - pe) < 1e-12) 0.0 else (po - pe) / (1 - pe)
   }
 
-  /** Best-tracking model per ground-truth concept (argmax F1), from the
-    * per-timestep (concept, model) co-occurrence counts.
+  /** F1 of every (ground-truth concept, model id) pair, from the
+    * per-timestep co-occurrence counts: one row of (model, F1) per concept.
     */
-  def bestTrackingModel(modelIds: IndexedSeq[Int], conceptIds: IndexedSeq[Int]): Map[Int, Int] = {
-    val co = scala.collection.mutable.Map.empty[(Int, Int), Int].withDefaultValue(0)
-    val byModel = scala.collection.mutable.Map.empty[Int, Int].withDefaultValue(0)
-    val byConcept = scala.collection.mutable.Map.empty[Int, Int].withDefaultValue(0)
-    var i = 0
-    while (i < modelIds.length) {
-      co((conceptIds(i), modelIds(i))) += 1
-      byModel(modelIds(i)) += 1
-      byConcept(conceptIds(i)) += 1
-      i += 1
-    }
-    byConcept.keys.toSeq.map { c =>
-      val best = byModel.keys.toSeq.map { m =>
-        val tp = co((c, m)).toDouble
-        val p = if (byModel(m) > 0) tp / byModel(m) else 0.0
-        val r = tp / byConcept(c)
-        val f1 = if (p + r > 0) 2 * p * r / (p + r) else 0.0
-        (m, f1)
-      }.maxBy(_._2)
-      c -> best._1
-    }.toMap
-  }
-
-  /** Co-occurrence C-F1 (paper §II): mean over ground-truth concepts of the
-    * best F1 achievable by any single model id.
-    */
-  def cF1(modelIds: IndexedSeq[Int], conceptIds: IndexedSeq[Int]): Double = {
-    require(modelIds.length == conceptIds.length && modelIds.nonEmpty, "need aligned sequences")
+  private def coOccurrenceF1(
+      modelIds: IndexedSeq[Int],
+      conceptIds: IndexedSeq[Int],
+  ): Seq[(Int, Seq[(Int, Double)])] = {
     val co = scala.collection.mutable.Map.empty[(Int, Int), Int].withDefaultValue(0)
     val byModel = scala.collection.mutable.Map.empty[Int, Int].withDefaultValue(0)
     val byConcept = scala.collection.mutable.Map.empty[Int, Int].withDefaultValue(0)
@@ -67,15 +43,27 @@ object Metrics {
       i += 1
     }
     // .toSeq before .map: mapping a key *set* would deduplicate equal F1s.
-    val f1s = byConcept.keys.toSeq.map { c =>
-      byModel.keys.toSeq.map { m =>
+    byConcept.keys.toSeq.map { c =>
+      c -> byModel.keys.toSeq.map { m =>
         val tp = co((c, m)).toDouble
         val p = if (byModel(m) > 0) tp / byModel(m) else 0.0
         val r = tp / byConcept(c)
-        if (p + r > 0) 2 * p * r / (p + r) else 0.0
-      }.max
+        m -> (if (p + r > 0) 2 * p * r / (p + r) else 0.0)
+      }
     }
-    f1s.sum / byConcept.size
+  }
+
+  /** Best-tracking model per ground-truth concept (argmax F1). */
+  def bestTrackingModel(modelIds: IndexedSeq[Int], conceptIds: IndexedSeq[Int]): Map[Int, Int] =
+    coOccurrenceF1(modelIds, conceptIds).map { case (c, row) => c -> row.maxBy(_._2)._1 }.toMap
+
+  /** Co-occurrence C-F1 (paper §II): mean over ground-truth concepts of the
+    * best F1 achievable by any single model id.
+    */
+  def cF1(modelIds: IndexedSeq[Int], conceptIds: IndexedSeq[Int]): Double = {
+    require(modelIds.length == conceptIds.length && modelIds.nonEmpty, "need aligned sequences")
+    val table = coOccurrenceF1(modelIds, conceptIds)
+    table.map(_._2.map(_._2).max).sum / table.length
   }
 
   /** Discrimination ability (paper §II-A, operationalized per DESIGN.md §6):

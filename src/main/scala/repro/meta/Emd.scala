@@ -44,7 +44,8 @@ object Emd {
 
   /** Extract one IMF from `xs` by sifting; returns (imf, residual). A
     * signal with no interior extrema is a pure trend: its IMF is zero and
-    * the residual is the signal itself.
+    * the residual is the signal itself. IMF k+1 is sifted from IMF k's
+    * residual.
     */
   def siftImf(xs: Array[Double], maxSift: Int = 4): (Array[Double], Array[Double]) = {
     val n = xs.length
@@ -71,21 +72,5 @@ object Emd {
     var i = 0
     while (i < n) { residual(i) = xs(i) - h(i); i += 1 }
     (h, residual)
-  }
-
-  /** Histogram entropy of the first `k` IMFs of `xs` (k in {1, 2} here). */
-  def imfEntropy(xs: Array[Double], k: Int): Double = {
-    require(k >= 1, "IMF index starts at 1")
-    if (xs.length < 8) return 0.0
-    var signal = xs
-    var imf: Array[Double] = null
-    var i = 0
-    while (i < k) {
-      val (m, res) = siftImf(signal)
-      imf = m
-      signal = res
-      i += 1
-    }
-    SeqStats.histogramEntropy(imf)
   }
 }

@@ -1,80 +1,90 @@
 package repro.meta
 
-/** Sequence-level meta-information functions (Table I). Each maps a
-  * univariate behaviour-source sequence to a single real value, guarding
-  * degenerate inputs (short or constant sequences) with well-defined
-  * fallbacks so fingerprints never contain NaN/Inf.
+/** Sequence-level meta-information (Table I). [[describe]] maps a
+  * univariate behaviour-source sequence to the 12 Table I values in one
+  * shared pass, guarding degenerate inputs (short or constant sequences)
+  * with well-defined fallbacks so fingerprints never contain NaN/Inf.
   */
 object SeqStats {
 
-  def mean(xs: Array[Double]): Double = {
-    if (xs.isEmpty) return 0.0
-    var s = 0.0; var i = 0
-    while (i < xs.length) { s += xs(i); i += 1 }
-    s / xs.length
-  }
+  val AllSlots = 0xFFF
+  /** Slots that need the centred passes: stdev … pacf2 and turning. */
+  private val CentredSlots = 0x2FE
+  private val MiSlot = 1 << 8
+  private val Imf1Slot = 1 << 10
+  private val Imf2Slot = 1 << 11
 
-  /** Population standard deviation. */
-  def stdDev(xs: Array[Double]): Double = {
-    if (xs.length < 2) return 0.0
-    val mu = mean(xs)
-    var s = 0.0; var i = 0
-    while (i < xs.length) { val d = xs(i) - mu; s += d * d; i += 1 }
-    math.sqrt(s / xs.length)
-  }
-
-  /** Standardized third moment; 0 for (near-)constant sequences. */
-  def skewness(xs: Array[Double]): Double = {
-    if (xs.length < 3) return 0.0
-    val mu = mean(xs); val sd = stdDev(xs)
-    if (sd < 1e-12) return 0.0
-    var s = 0.0; var i = 0
-    while (i < xs.length) { val z = (xs(i) - mu) / sd; s += z * z * z; i += 1 }
-    s / xs.length
-  }
-
-  /** Standardized fourth moment (non-excess; Gaussian => 3). */
-  def kurtosis(xs: Array[Double]): Double = {
-    if (xs.length < 4) return 0.0
-    val mu = mean(xs); val sd = stdDev(xs)
-    if (sd < 1e-12) return 0.0
-    var s = 0.0; var i = 0
-    while (i < xs.length) { val z = (xs(i) - mu) / sd; s += z * z * z * z; i += 1 }
-    s / xs.length
-  }
-
-  /** Autocorrelation at the given lag; 0 for degenerate sequences. */
-  def acf(xs: Array[Double], lag: Int): Double = {
-    val n = xs.length
-    if (n <= lag + 1) return 0.0
-    val mu = mean(xs)
-    var denom = 0.0; var i = 0
-    while (i < n) { val d = xs(i) - mu; denom += d * d; i += 1 }
-    if (denom < 1e-12) return 0.0
-    var num = 0.0
-    i = 0
-    while (i < n - lag) { num += (xs(i) - mu) * (xs(i + lag) - mu); i += 1 }
-    num / denom
-  }
-
-  /** Partial autocorrelation at lags 1 and 2 via Durbin–Levinson:
-    * pacf(1) = acf(1); pacf(2) = (acf(2) − acf(1)²) / (1 − acf(1)²).
+  /** The 12 Table I values of `xs` in [[MetaFunctions.all]] order (slot i
+    * is `all(i)`). `slots` is a bit mask over those indices: groups with no
+    * selected slot are skipped and read 0, so a mean-only fingerprint costs
+    * one pass.
+    *
+    * Shared quantities are computed once: the mean, then Σ(x−μ)² (std and
+    * the ACF denominator), then one pass for the standardized third and
+    * fourth moments, the lag-1/2 ACF numerators and the turning points.
+    * PACF follows from the ACF by Durbin–Levinson, and the EMD chain sifts
+    * IMF2 from IMF1's residual.
     */
-  def pacf(xs: Array[Double], lag: Int): Double = {
-    require(lag == 1 || lag == 2, "only lags 1 and 2 are used")
-    val r1 = acf(xs, 1)
-    if (lag == 1) r1
-    else {
-      val r2 = acf(xs, 2)
-      val denom = 1.0 - r1 * r1
-      if (math.abs(denom) < 1e-9) 0.0 else (r2 - r1 * r1) / denom
+  def describe(xs: Array[Double], slots: Int = AllSlots): Array[Double] = {
+    val out = new Array[Double](12)
+    val n = xs.length
+    var s = 0.0; var i = 0
+    while (i < n) { s += xs(i); i += 1 }
+    val mu = if (n == 0) 0.0 else s / n
+    out(0) = mu
+
+    if ((slots & CentredSlots) != 0 && n >= 2) {
+      val dev = new Array[Double](n)
+      var ss = 0.0
+      i = 0
+      while (i < n) { val d = xs(i) - mu; dev(i) = d; ss += d * d; i += 1 }
+      // Population standard deviation.
+      val sd = math.sqrt(ss / n)
+      out(1) = sd
+      var s3 = 0.0; var s4 = 0.0; var num1 = 0.0; var num2 = 0.0; var tp = 0
+      i = 0
+      while (i < n) {
+        val d = dev(i)
+        val z = d / sd
+        s3 += z * z * z
+        s4 += z * z * z * z
+        if (i + 1 < n) {
+          num1 += d * dev(i + 1)
+          if (i + 2 < n) num2 += d * dev(i + 2)
+          if (i > 0 && (xs(i) - xs(i - 1)) * (xs(i + 1) - xs(i)) < 0) tp += 1
+        }
+        i += 1
+      }
+      // Standardized moments (kurtosis non-excess: Gaussian => 3); 0 for
+      // (near-)constant sequences.
+      if (n >= 3 && !(sd < 1e-12)) out(2) = s3 / n
+      if (n >= 4 && !(sd < 1e-12)) out(3) = s4 / n
+      // Autocorrelation at lags 1 and 2; 0 for degenerate sequences.
+      if (n > 2 && !(ss < 1e-12)) out(4) = num1 / ss
+      if (n > 3 && !(ss < 1e-12)) out(5) = num2 / ss
+      // Fraction of interior points that are local extrema.
+      if (n >= 3) out(9) = tp.toDouble / (n - 2)
     }
+    // Partial autocorrelation via Durbin–Levinson:
+    // pacf(1) = acf(1); pacf(2) = (acf(2) − acf(1)²) / (1 − acf(1)²).
+    val r1 = out(4); val r2 = out(5)
+    out(6) = r1
+    val denom = 1.0 - r1 * r1
+    out(7) = if (math.abs(denom) < 1e-9) 0.0 else (r2 - r1 * r1) / denom
+
+    if ((slots & MiSlot) != 0) out(8) = lagMutualInformation(xs)
+    if ((slots & (Imf1Slot | Imf2Slot)) != 0 && n >= 8) {
+      val (imf1, residual) = Emd.siftImf(xs)
+      if ((slots & Imf1Slot) != 0) out(10) = histogramEntropy(imf1)
+      if ((slots & Imf2Slot) != 0) out(11) = histogramEntropy(Emd.siftImf(residual)._1)
+    }
+    out
   }
 
   /** Lag-1 mutual information (nats) between x_t and x_{t+1}, estimated on
     * an equal-width joint histogram. Captures nonlinear temporal dependence.
     */
-  def lagMutualInformation(xs: Array[Double], bins: Int = 8): Double = {
+  private[meta] def lagMutualInformation(xs: Array[Double], bins: Int = 8): Double = {
     val n = xs.length - 1
     if (n < 4) return 0.0
     var lo = Double.PositiveInfinity; var hi = Double.NegativeInfinity
@@ -104,22 +114,8 @@ object SeqStats {
     math.max(mi, 0.0)
   }
 
-  /** Fraction of interior points that are local extrema (turning points). */
-  def turningPointRate(xs: Array[Double]): Double = {
-    if (xs.length < 3) return 0.0
-    var tp = 0
-    var i = 1
-    while (i < xs.length - 1) {
-      val d1 = xs(i) - xs(i - 1)
-      val d2 = xs(i + 1) - xs(i)
-      if (d1 * d2 < 0) tp += 1
-      i += 1
-    }
-    tp.toDouble / (xs.length - 2)
-  }
-
   /** Shannon entropy (nats) of an equal-width histogram of the sequence. */
-  def histogramEntropy(xs: Array[Double], bins: Int = 8): Double = {
+  private[meta] def histogramEntropy(xs: Array[Double], bins: Int = 8): Double = {
     if (xs.length < 2) return 0.0
     var lo = Double.PositiveInfinity; var hi = Double.NegativeInfinity
     var i = 0

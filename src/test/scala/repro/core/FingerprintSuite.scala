@@ -63,9 +63,9 @@ class FingerprintSpecSuite extends AnyFunSuite {
     val fp = Fingerprinter.make(spec, window, None)
     val x0 = Array(1.0, 0.5, 0.75)
     val idx = spec.dimNames.indexOf("x0:mean")
-    assert(fp(idx) == SeqStats.mean(x0))
+    assert(fp(idx) == SeqStats.describe(x0)(MetaFunctions.Mean.slot))
     val idxSd = spec.dimNames.indexOf("x0:stdev")
-    assert(fp(idxSd) == SeqStats.stdDev(x0))
+    assert(fp(idxSd) == SeqStats.describe(x0)(MetaFunctions.StdDev.slot))
   }
 
   test("error-rate variant equals the window error rate") {
@@ -115,14 +115,6 @@ class RunningVecSpec extends AnyFunSuite {
 
   test("dimension mismatch is rejected") {
     intercept[IllegalArgumentException](new RunningVec(2).add(Array(1.0)))
-  }
-
-  test("resetDims clears selected dims only") {
-    val rv = new RunningVec(3)
-    rv.add(Array(1.0, 2.0, 3.0)); rv.add(Array(2.0, 3.0, 4.0))
-    rv.resetDims(Seq(1))
-    assert(rv.count(1) == 0 && rv.mean(1) == 0.0)
-    assert(rv.count(0) == 2 && rv.mean(0) == 1.5)
   }
 
   test("decayDims keeps mean and std but shrinks counts") {

@@ -24,6 +24,20 @@ class RunnerSpec extends AnyFunSuite {
     assert(!out.discrimination.isNaN, "ER should produce discrimination probes")
   }
 
+  test("runtime times only the step calls, not the discrimination probes") {
+    val stream = Datasets.stagger.build(1)
+    val sleepMs = 5
+    var probes = 0
+    val slowProbe = new StreamSystem with Probeable {
+      def name = "slow-probe"
+      def step(x: Array[Double], y: Int): (Int, Int) = (0, 0)
+      def probe(): Option[ProbeResult] = { probes += 1; Thread.sleep(sleepMs); None }
+    }
+    val out = Runner.run(slowProbe, stream, 1)
+    assert(probes >= 20, s"probes=$probes")
+    assert(out.runtimeMs < probes * sleepMs / 2, s"runtimeMs=${out.runtimeMs} with $probes probes")
+  }
+
   test("Systems factory builds every named system") {
     for (name <- Seq("FiCSUM", "S-MI", "U-MI", "ER", "HTCD", "RCD", "DWM", "ARF"))
       assert(Systems.create(name, 4, 2, 1).isInstanceOf[StreamSystem], name)
@@ -32,6 +46,31 @@ class RunnerSpec extends AnyFunSuite {
     assert(Systems.create("fn:Shapley Value", 4, 2, 1).name == "fn:Shapley Value")
     intercept[NoSuchElementException](Systems.create("nope", 4, 2, 1))
   }
+}
+
+/** Outputs-unchanged gate for refactors: κ, C-F1 and discrimination (by bit
+  * pattern) and the model count of fixed cells, recorded before the shared
+  * meta-information kernel replaced the per-function closures.
+  */
+class GoldenOutcomeSpec extends AnyFunSuite {
+  import java.lang.Double.doubleToLongBits
+
+  private val golden = Seq(
+    ("FiCSUM", 0x3fe6b09ed59d7016L, 0x3fde5c900e3a9645L, 0x4049e854cf9074c0L, 9),
+    ("U-MI", 0x3fda8b0205622dfaL, 0x3fdfb1fb1fb1fb1fL, 0x7ff8000000000000L, 4),
+    ("ER", 0x3fe37004312cd739L, 0x3fe36d03bcd63ce2L, 0x3ff1e9fe16657657L, 5),
+    ("fn:Entropy of IMFs", 0x3fdd5b941a0e60b6L, 0x3fde5c920e797248L, 0x3fd4b66dfa9e606bL, 4),
+  )
+
+  private lazy val stream = Datasets.stagger.build(1)
+
+  for ((system, kappa, cF1, disc, models) <- golden)
+    test(s"STAGGER seed 1 $system outcome is bit-identical to the recorded one") {
+      val out = Runner.run(Systems.create(system, stream.numFeatures, stream.numClasses, 1), stream, 1)
+      assert((doubleToLongBits(out.kappa), doubleToLongBits(out.cF1),
+        doubleToLongBits(out.discrimination), out.numModels) == ((kappa, cF1, disc, models)),
+        s"kappa=${out.kappa} cF1=${out.cF1} disc=${out.discrimination} models=${out.numModels}")
+    }
 }
 
 class EvalGridSpec extends SparkSpec {

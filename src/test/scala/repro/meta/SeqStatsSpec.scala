@@ -1,10 +1,21 @@
 package repro.meta
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
 class SeqStatsSpec extends AnyFunSuite {
   import SeqStats._
+  import MetaFunctions._
+
+  private def mean(xs: Array[Double]) = describe(xs)(Mean.slot)
+  private def stdDev(xs: Array[Double]) = describe(xs)(StdDev.slot)
+  private def skewness(xs: Array[Double]) = describe(xs)(Skew.slot)
+  private def kurtosis(xs: Array[Double]) = describe(xs)(Kurtosis.slot)
+  private def acf(xs: Array[Double], lag: Int) = describe(xs)(if (lag == 1) Acf1.slot else Acf2.slot)
+  private def pacf(xs: Array[Double], lag: Int) = describe(xs)(if (lag == 1) Pacf1.slot else Pacf2.slot)
+  private def mi(xs: Array[Double]) = describe(xs)(MutualInfo.slot)
+  private def turningPointRate(xs: Array[Double]) = describe(xs)(TurningPoint.slot)
 
   private def gaussian(n: Int, seed: Long): Array[Double] = {
     val rng = new Random(seed)
@@ -58,7 +69,6 @@ class SeqStatsSpec extends AnyFunSuite {
     for (i <- ar.indices) { prev = 0.6 * prev + rng.nextGaussian(); ar(i) = prev }
     assert(pacf(ar, 1) == acf(ar, 1))
     assert(math.abs(pacf(ar, 2)) < 0.08, s"pacf2=${pacf(ar, 2)}")
-    intercept[IllegalArgumentException](pacf(ar, 3))
   }
 
   test("lag mutual information: dependent > independent") {
@@ -67,9 +77,9 @@ class SeqStatsSpec extends AnyFunSuite {
     val dep = new Array[Double](3000)
     var prev = 0.5
     for (i <- dep.indices) { prev = 0.9 * prev + 0.1 * rng.nextDouble(); dep(i) = prev }
-    assert(lagMutualInformation(dep) > lagMutualInformation(indep) + 0.1)
-    assert(lagMutualInformation(Array(1.0, 2.0)) == 0.0)
-    assert(lagMutualInformation(Array.fill(100)(3.0)) == 0.0)
+    assert(mi(dep) > mi(indep) + 0.1)
+    assert(mi(Array(1.0, 2.0)) == 0.0)
+    assert(mi(Array.fill(100)(3.0)) == 0.0)
   }
 
   test("turning point rate: monotone 0, alternating 1, iid ~2/3") {
@@ -92,13 +102,17 @@ class SeqStatsSpec extends AnyFunSuite {
 
 class EmdSpec extends AnyFunSuite {
 
+  private def imfEntropy(xs: Array[Double], k: Int) =
+    SeqStats.describe(xs)(if (k == 1) MetaFunctions.ImfEntropy1.slot else MetaFunctions.ImfEntropy2.slot)
+  private def turningPointRate(xs: Array[Double]) = MetaFunctions.TurningPoint(xs)
+
   test("IMF extraction of a fast sine over a slow trend keeps the oscillation") {
     val n = 256
     val signal = Array.tabulate(n)(i => math.sin(2 * math.Pi * i / 8.0) + 0.01 * i)
     val (imf, residual) = Emd.siftImf(signal)
     // The IMF retains the oscillatory energy; the residual is smoother.
-    val imfTurn = SeqStats.turningPointRate(imf)
-    val resTurn = SeqStats.turningPointRate(residual)
+    val imfTurn = turningPointRate(imf)
+    val resTurn = turningPointRate(residual)
     assert(imfTurn > resTurn, s"imf=$imfTurn res=$resTurn")
   }
 
@@ -115,21 +129,21 @@ class EmdSpec extends AnyFunSuite {
     assert(imf.forall(v => math.abs(v) < 1e-9))
   }
 
-  test("imfEntropy is finite and zero for short inputs") {
+  test("IMF entropy slots are finite and zero for short inputs") {
     val rng = new Random(2)
     val signal = Array.fill(100)(rng.nextDouble())
-    val e1 = Emd.imfEntropy(signal, 1)
-    val e2 = Emd.imfEntropy(signal, 2)
+    val e1 = imfEntropy(signal, 1)
+    val e2 = imfEntropy(signal, 2)
     assert(!e1.isNaN && !e1.isInfinite && e1 >= 0)
     assert(!e2.isNaN && !e2.isInfinite && e2 >= 0)
-    assert(Emd.imfEntropy(Array(1.0, 2.0, 3.0), 1) == 0.0)
-    intercept[IllegalArgumentException](Emd.imfEntropy(signal, 0))
+    assert(imfEntropy(Array(1.0, 2.0, 3.0), 1) == 0.0)
+    assert(imfEntropy(Array(1.0, 2.0, 3.0), 2) == 0.0)
   }
 
   test("oscillation-rich vs smooth signals have different IMF entropy") {
     val fast = Array.tabulate(200)(i => math.sin(i * 2.1) + 0.1 * math.sin(i * 0.3))
     val slow = Array.tabulate(200)(i => math.sin(i * 0.05))
-    assert(math.abs(Emd.imfEntropy(fast, 1) - Emd.imfEntropy(slow, 1)) > 1e-3)
+    assert(math.abs(imfEntropy(fast, 1) - imfEntropy(slow, 1)) > 1e-3)
   }
 }
 
@@ -140,9 +154,8 @@ class MetaFunctionsSpec extends AnyFunSuite {
     assert(MetaFunctions.all.map(_.name).distinct.length == 12)
   }
 
-  test("byName resolves and rejects") {
-    assert(MetaFunctions.byName("mean").name == "mean")
-    intercept[NoSuchElementException](MetaFunctions.byName("nope"))
+  test("slots follow the order of `all`") {
+    assert(MetaFunctions.all.map(_.slot) == MetaFunctions.all.indices)
   }
 
   test("Table V groups pair lag functions together") {
@@ -167,5 +180,46 @@ class MetaFunctionsSpec extends AnyFunSuite {
       val v = f(Array(1.0))
       assert(!v.isNaN && !v.isInfinite, f.name)
     }
+  }
+}
+
+/** The shared kernel against the per-function oracle, bit for bit. */
+class SeqStatsKernelSpec extends AnyFunSuite {
+
+  private val finite: Gen[Double] = Gen.choose(-1e3, 1e3)
+  private val cauchy: Gen[Double] = Gen.choose(-0.4999, 0.4999).map(u => math.tan(math.Pi * u))
+  private val special: Gen[Double] =
+    Gen.oneOf(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)
+
+  private def ofLength(n: Gen[Int], v: Gen[Double]): Gen[Array[Double]] =
+    n.flatMap(k => Gen.containerOfN[Array, Double](k, v))
+
+  private val aroundW: Gen[Int] = Gen.choose(40, 60)
+
+  private val sequences: Gen[Array[Double]] = Gen.oneOf(
+    ofLength(aroundW, finite),
+    ofLength(aroundW, Gen.oneOf(0.0, 1.0)), // label, prediction and error sources
+    for (n <- aroundW; c <- finite) yield Array.fill(n)(c),
+    for (n <- aroundW; c <- finite; e <- ofLength(Gen.const(n), Gen.choose(-1e-13, 1e-13)))
+      yield e.map(_ + c), // near-constant
+    ofLength(Gen.choose(0, 8), finite),
+    ofLength(aroundW, cauchy),
+    ofLength(aroundW, Gen.frequency(9 -> finite, 1 -> special)),
+  )
+
+  private def bits(v: Double): Long = java.lang.Double.doubleToLongBits(v)
+
+  test("property: every slot equals the per-function oracle bit for bit") {
+    val prop = Prop.forAll(sequences, Gen.choose(1, SeqStats.AllSlots)) { (xs, mask) =>
+      val full = SeqStats.describe(xs)
+      val masked = SeqStats.describe(xs, mask)
+      MetaFunctions.all.forall { fn =>
+        val want = bits(PerFunctionOracle.all(fn.slot)(xs))
+        bits(full(fn.slot)) == want && bits(fn(xs)) == want &&
+          ((mask & (1 << fn.slot)) == 0 || bits(masked(fn.slot)) == want)
+      }
+    }
+    val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(2000), prop)
+    assert(result.passed, result.status.toString)
   }
 }

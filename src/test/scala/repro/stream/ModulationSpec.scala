@@ -2,7 +2,7 @@ package repro.stream
 
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
-import repro.meta.SeqStats
+import repro.meta.MetaFunctions.{Acf1, StdDev}
 
 class ModulationSpec extends AnyFunSuite {
 
@@ -37,8 +37,8 @@ class ModulationSpec extends AnyFunSuite {
   test("autocorrelation modulation induces lag-1 autocorrelation") {
     val plain = draw(new ModulatedConcept(labeler, 6, 1, ModSpec(false, false, false)), 1000)
     val auto  = draw(new ModulatedConcept(labeler, 6, 1, ModSpec(false, true, false)), 1000)
-    val acfPlain = SeqStats.acf(plain.map(_.x(0)).toArray, 1)
-    val acfAuto  = SeqStats.acf(auto.map(_.x(0)).toArray, 1)
+    val acfPlain = Acf1(plain.map(_.x(0)).toArray)
+    val acfAuto  = Acf1(auto.map(_.x(0)).toArray)
     assert(math.abs(acfPlain) < 0.12, s"iid draws should have ~0 acf, got $acfPlain")
     assert(acfAuto > 0.25, s"AR(1)-filtered draws should correlate, got $acfAuto")
   }
@@ -50,7 +50,7 @@ class ModulationSpec extends AnyFunSuite {
     // exceeds the pure-uniform variance bound noticeably for some feature.
     val gPlain = new ModulatedConcept(labeler, 6, 3, ModSpec(false, false, false))
     val plain = draw(gPlain, 600).map(_.x(0)).toArray
-    assert(SeqStats.stdDev(xs) > SeqStats.stdDev(plain))
+    assert(StdDev(xs) > StdDev(plain))
   }
 
   test("reset() makes recurrences reproduce the same AR trajectory") {
