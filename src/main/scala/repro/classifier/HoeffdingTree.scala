@@ -21,7 +21,9 @@ final case class HoeffdingTreeConfig(
 
 /** Incremental Hoeffding Tree (VFDT) with Gaussian numeric attribute
   * observers and adaptive naive-Bayes leaves, in the spirit of the MOA /
-  * scikit-multiflow HoeffdingTreeClassifier.
+  * scikit-multiflow HoeffdingTreeClassifier. It is trained one observation
+  * at a time (test-then-train protocol) and is serializable so experiment
+  * cells can run as Spark tasks.
   *
   * Extras needed by this reproduction:
   *  - `splitEvents` counts structural changes (FiCSUM resets
@@ -35,7 +37,7 @@ final class HoeffdingTree(
     val numClasses: Int,
     cfg: HoeffdingTreeConfig = HoeffdingTreeConfig(),
     seed: Long = 17,
-) extends IncrementalClassifier {
+) extends Serializable {
 
   private val rng = new Random(seed)
 
@@ -109,10 +111,22 @@ final class HoeffdingTree(
 
   // ---------------------------------------------------------------- predict
 
+  /** Class-probability estimates for `x` (sums to 1 when any class has been
+    * seen; uniform before any training).
+    */
   def predictProba(x: Array[Double]): Array[Double] = {
     var n = root
     while (n.isInstanceOf[Split]) n = n.asInstanceOf[Split].route(x)
     n.asInstanceOf[Leaf].leafProba(x)
+  }
+
+  /** Most probable class for `x`. */
+  def predict(x: Array[Double]): Int = {
+    val p = predictProba(x)
+    var best = 0
+    var i = 1
+    while (i < p.length) { if (p(i) > p(best)) best = i; i += 1 }
+    best
   }
 
   /** Saabas-style attribution: walking root→leaf, the change in the
@@ -140,6 +154,7 @@ final class HoeffdingTree(
 
   // ------------------------------------------------------------------ train
 
+  /** Incorporate one labelled observation with the given weight. */
   def train(x: Array[Double], y: Int, weight: Double = 1.0): Unit = {
     var n = root
     n.classCounts(y) += weight
@@ -269,15 +284,6 @@ final class HoeffdingTree(
         else if (s.right eq target) { s.right = replacement; true }
         else rec(s.left) || rec(s.right)
       case _ => false
-    }
-    rec(root)
-  }
-
-  /** Number of nodes (diagnostics). */
-  def nodeCount: Int = {
-    def rec(n: Node): Int = n match {
-      case s: Split => 1 + rec(s.left) + rec(s.right)
-      case _        => 1
     }
     rec(root)
   }

@@ -54,7 +54,6 @@ final class RunningScalar extends Serializable {
   def count: Double = n
   def mean: Double  = mu
   def std: Double   = if (n > 1) math.sqrt(math.max(m2 / n, 0.0)) else 0.0
-  def reset(): Unit = { n = 0; mu = 0; m2 = 0 }
 }
 
 /** Everything the repository stores per concept (paper Alg. 1 line 26):
@@ -87,8 +86,8 @@ final class ConceptState(
     */
   val sampleFps = scala.collection.mutable.ArrayBuffer.empty[Array[Double]]
 
-  def addSample(fp: Array[Double], cap: Int = 8): Unit = {
-    if (sampleFps.length >= cap) sampleFps.remove(0)
+  def addSample(fp: Array[Double]): Unit = {
+    if (sampleFps.length >= ConceptState.MaxSamples) sampleFps.remove(0)
     sampleFps += fp
   }
 
@@ -118,8 +117,8 @@ final class ConceptState(
 
   def frozen: Boolean = openRemaining <= 0
 
-  def grantBudget(n: Int, capped: Boolean): Unit = {
-    if (capped && openedSinceActivation >= ConceptState.MaxPerActivation) return
+  def grantBudget(n: Int): Unit = {
+    if (openedSinceActivation >= ConceptState.MaxPerActivation) return
     val grant = math.max(0, n - math.max(openRemaining, 0))
     openRemaining += grant
     openedSinceActivation += grant
@@ -127,7 +126,7 @@ final class ConceptState(
 
   def markActivated(): Unit = {
     openedSinceActivation = 0
-    grantBudget(ConceptState.ReuseBudget, capped = false)
+    grantBudget(ConceptState.ReuseBudget)
     simBudget = math.max(simBudget, ConceptState.SimBudget / 3)
   }
 }
@@ -143,4 +142,6 @@ object ConceptState {
   val MaxPerActivation = 60
   /** Normal-similarity samples recorded after each freeze. */
   val SimBudget = 30
+  /** Sample fingerprints retained for the self-similarity band. */
+  val MaxSamples = 8
 }

@@ -72,8 +72,8 @@ final class FiCSUM(
   private var simEwma: Double = Double.NaN
   private var normEwma: Double = Double.NaN
   private var breachCount: Int = 0
-  private var pendingSecondCheck: Long = -1L
-  private var newConceptFromLastDrift: Option[ConceptState] = None
+  /** The concept created at the last drift and the step of its second check. */
+  private var secondCheckDue: Option[(ConceptState, Long)] = None
 
   /** Number of drift detections so far (diagnostics). */
   var driftCount: Int = 0
@@ -104,11 +104,7 @@ final class FiCSUM(
   private def simTo(s: ConceptState, raw: Array[Double], weights: Array[Double]): Double =
     Similarity.sim(normalizer.scale(s.stats.meanVector), normalizer.scale(raw), weights)
 
-  private def selectModel(
-      win: IndexedSeq[Labeled],
-      weights: Array[Double],
-      exclude: Option[ConceptState],
-  ): Option[ConceptState] = {
+  private def selectModel(exclude: Option[ConceptState]): Option[ConceptState] = {
     // Average the tested similarity over staggered sub-windows of the
     // buffer to cut single-window sampling noise before the band test.
     val wins: Seq[IndexedSeq[Labeled]] =
@@ -116,7 +112,7 @@ final class FiCSUM(
         val all = buf.toIndexedSeq
         val offsets = Seq(0, (all.length - w) / 2, all.length - w).distinct
         offsets.map(o => all.slice(o, o + w))
-      } else Seq(win)
+      } else Seq(window(tail = true))
     val scored = repo.iterator
       .filter(s => !exclude.contains(s))
       .filter(s => s.stats.totalCount >= 2 && s.sampleFps.nonEmpty)
@@ -159,7 +155,7 @@ final class FiCSUM(
       val suspicious = active.simStats.count >= 2 && !simEwma.isNaN &&
         simEwma < active.simStats.mean - 2 * active.simStats.std - 0.05
       active.stats.decayDims(spec.classifierDependentDims, 0.3)
-      if (!suspicious) active.grantBudget(ConceptState.SplitBudget, capped = true)
+      if (!suspicious) active.grantBudget(ConceptState.SplitBudget)
       active.seenSplitEvents = active.classifier.splitEvents
       // A split shifts classifier-dependent dims benignly for a while; give
       // the fast breach path extra patience so it does not race the
@@ -168,50 +164,29 @@ final class FiCSUM(
     }
   }
 
-  private def onDrift(win: IndexedSeq[Labeled], weights: Array[Double]): Unit = {
-    val chosen = selectModel(win, weights, exclude = None)
-    if (chosen.exists(_ eq active)) {
-      // The recent window still matches the active concept's normal band:
-      // a detector false alarm. Keep the representation and buffers; only
-      // the detector state restarts, so false alarms are nearly free.
-      adwin = new Adwin(cfg.adwinDelta)
-      simEwma = Double.NaN
-      breachCount = 0
-      return
-    }
+  private def restartDetector(): Unit = {
+    adwin = new Adwin(cfg.adwinDelta)
+    simEwma = Double.NaN
+    breachCount = 0
+  }
+
+  private def onDrift(): Unit = {
+    restartDetector()
+    val chosen = selectModel(exclude = None)
+    // The recent window still matches the active concept's normal band: a
+    // detector false alarm. Keep the representation and buffers; only the
+    // detector restarts, so false alarms are nearly free.
+    if (chosen.exists(_ eq active)) return
     driftCount += 1
     chosen match {
       case Some(s) =>
         active = s
         active.markActivated()
-        newConceptFromLastDrift = None
       case None =>
         active = newConcept()
-        newConceptFromLastDrift = Some(active)
+        secondCheckDue = Some((active, i + w))
     }
-    pendingSecondCheck = i + w
-    adwin = new Adwin(cfg.adwinDelta)
     buf.clear()
-    simEwma = Double.NaN
-    breachCount = 0
-  }
-
-  private def secondCheck(): Unit = {
-    // Re-run model selection once A is fully drawn from the emerging
-    // segment; a found recurrence replaces a freshly created concept.
-    newConceptFromLastDrift match {
-      case Some(fresh) if (active eq fresh) && buf.length >= w =>
-        val win = window(tail = true)
-        selectModel(win, lastWeights, exclude = Some(fresh)) match {
-          case Some(s) =>
-            repo -= fresh
-            active = s
-          case None => ()
-        }
-      case _ => ()
-    }
-    newConceptFromLastDrift = None
-    pendingSecondCheck = -1L
   }
 
   // ------------------------------------------------------------------ step
@@ -280,7 +255,7 @@ final class FiCSUM(
         // on stationary values so arming starts from a real baseline
         // instead of cutting on its first few (still-settling) values.
         val armed = active.simBudget <= 0
-        if (armed && (cut || breachCount >= 5)) onDrift(winA, weights)
+        if (armed && (cut || breachCount >= 5)) onDrift()
       }
     }
 
@@ -293,7 +268,20 @@ final class FiCSUM(
       }
     }
 
-    if (pendingSecondCheck >= 0 && i >= pendingSecondCheck) secondCheck()
+    // Second check (paper Alg. 1): once A is fully drawn from the emerging
+    // segment, a found recurrence replaces the freshly created concept. The
+    // drift cleared the buffer and detection needs b + w rows, so no drift
+    // fires before this step: `fresh` is still active and the buffer holds
+    // exactly w rows.
+    secondCheckDue match {
+      case Some((fresh, due)) if i >= due =>
+        selectModel(exclude = Some(fresh)).foreach { s =>
+          repo -= fresh
+          active = s
+        }
+        secondCheckDue = None
+      case _ => ()
+    }
 
     (l, active.id)
   }
@@ -310,34 +298,5 @@ final class FiCSUM(
     }.toMap
     val sigmas = usable.map(s => s.id -> s.simStats.std).toMap
     Some(ProbeResult(sims, sigmas))
-  }
-}
-
-/** Factories for the paper's evaluation variants. */
-object FiCSUM {
-
-  def full(d: Int, k: Int, cfg: FiCSUMConfig = FiCSUMConfig(), seed: Long = 42): FiCSUM =
-    new FiCSUM("FiCSUM", d, k, FingerprintSpec.full(d), cfg, seed)
-
-  def supervised(d: Int, k: Int, cfg: FiCSUMConfig = FiCSUMConfig(), seed: Long = 42): FiCSUM =
-    new FiCSUM("S-MI", d, k, FingerprintSpec.supervised(d), cfg, seed)
-
-  def unsupervised(d: Int, k: Int, cfg: FiCSUMConfig = FiCSUMConfig(), seed: Long = 42): FiCSUM =
-    new FiCSUM("U-MI", d, k, FingerprintSpec.unsupervised(d), cfg, seed)
-
-  def errorRate(d: Int, k: Int, cfg: FiCSUMConfig = FiCSUMConfig(), seed: Long = 42): FiCSUM =
-    new FiCSUM("ER", d, k, FingerprintSpec.errorRate(d), cfg, seed)
-
-  /** Table V single-function variant ("Shapley Value" uses the per-feature
-    * importance dims; every other row applies its function group to all
-    * behaviour sources).
-    */
-  def singleFunction(label: String, d: Int, k: Int,
-                     fns: IndexedSeq[repro.meta.MetaFunction],
-                     cfg: FiCSUMConfig = FiCSUMConfig(), seed: Long = 42): FiCSUM = {
-    val spec =
-      if (fns.isEmpty) FingerprintSpec.shapleyOnly(d)
-      else FingerprintSpec.singleFunction(d, fns)
-    new FiCSUM(label, d, k, spec, cfg, seed)
   }
 }

@@ -10,7 +10,7 @@ import scala.collection.mutable.ArrayDeque
   * have means that differ by more than the ADWIN bound
   * eps = sqrt(2/m · σ²_W · ln(2/δ')) + (2/3m) · ln(2/δ').
   */
-final class Adwin(delta: Double = 0.002, maxBucketsPerSize: Int = 5) extends ChangeDetector {
+final class Adwin(delta: Double = 0.002, maxBucketsPerSize: Int = 5) extends Serializable {
 
   // Each bucket: (sum, sumSq-derived variance·width, width). Newest at head.
   private final case class Bucket(sum: Double, varTimesW: Double, width: Long)
@@ -22,7 +22,8 @@ final class Adwin(delta: Double = 0.002, maxBucketsPerSize: Int = 5) extends Cha
   def width: Long = totalW
   def mean: Double = if (totalW > 0) totalSum / totalW else 0.0
 
-  override def reset(): Unit = {
+  /** Clear all state. */
+  def reset(): Unit = {
     buckets = new ArrayDeque[Bucket]()
     totalW = 0L; totalSum = 0.0; detectedFlag = false
   }
@@ -61,7 +62,8 @@ final class Adwin(delta: Double = 0.002, maxBucketsPerSize: Int = 5) extends Cha
     math.max(acc / totalW, 0.0)
   }
 
-  override def add(value: Double): Boolean = {
+  /** Feed one value; returns true iff a change was detected at this step. */
+  def add(value: Double): Boolean = {
     buckets.prepend(Bucket(value, 0.0, 1L))
     totalW += 1
     totalSum += value

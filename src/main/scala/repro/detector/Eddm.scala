@@ -3,16 +3,15 @@ package repro.detector
 /** EDDM (Baena-García et al., 2006): tracks the distance between
   * consecutive classification errors. Under a stable concept the mean
   * distance between errors grows; drift is signalled when the current
-  * (mean + 2·std) of error distances falls below `alpha` (drift) or `beta`
-  * (warning) times its observed maximum.
+  * (mean + 2·std) of error distances falls below `alpha` times its observed
+  * maximum. (EDDM's warning level is not implemented: no caller reads it.)
   *
   * Feed 1.0 for an error and 0.0 for a correct prediction.
   */
 final class Eddm(
     alpha: Double = 0.90,
-    beta: Double = 0.95,
     minErrors: Int = 30,
-) extends ChangeDetector {
+) extends Serializable {
 
   private var i          = 0L
   private var lastError  = -1L
@@ -20,16 +19,15 @@ final class Eddm(
   private var mean       = 0.0
   private var m2         = 0.0
   private var maxLevel   = Double.MinValue
-  private var warningFlag = false
 
-  override def warning: Boolean = warningFlag
-
-  override def reset(): Unit = {
+  /** Clear all state. */
+  def reset(): Unit = {
     i = 0; lastError = -1; numErrors = 0
-    mean = 0.0; m2 = 0.0; maxLevel = Double.MinValue; warningFlag = false
+    mean = 0.0; m2 = 0.0; maxLevel = Double.MinValue
   }
 
-  override def add(value: Double): Boolean = {
+  /** Feed one value; returns true iff a drift was detected at this step. */
+  def add(value: Double): Boolean = {
     i += 1
     if (value <= 0.5) return false // correct prediction: nothing to update
     if (lastError >= 0) {
@@ -45,7 +43,6 @@ final class Eddm(
     val level = mean + 2.0 * std
     if (level > maxLevel) maxLevel = level
     val ratio = level / maxLevel
-    warningFlag = ratio < beta
     if (ratio < alpha) {
       val detected = true
       reset()

@@ -1,7 +1,7 @@
 package repro.eval
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{FiCSUM, FiCSUMConfig}
+import repro.core.{FiCSUM, FingerprintSpec}
 import repro.baselines.{Arf, Dwm, Htcd, Rcd}
 import repro.meta.MetaFunctions
 import repro.stream.Datasets
@@ -11,28 +11,30 @@ import repro.stream.Datasets
   */
 object Systems {
 
-  /** Table V variant names are "fn:<group label>"; "fn:Shapley Value" maps
-    * to the importance-only fingerprint.
+  /** The FiCSUM variants are fingerprint specs (paper §VI): ER, S-MI and
+    * U-MI restrict the sources, and the Table V rows "fn:<group label>"
+    * restrict the functions ("fn:Shapley Value" keeps only the per-feature
+    * importance dims).
     */
-  def create(name: String, d: Int, k: Int, seed: Long): StreamSystem = name match {
-    case "FiCSUM" => FiCSUM.full(d, k, seed = seed)
-    case "S-MI"   => FiCSUM.supervised(d, k, seed = seed)
-    case "U-MI"   => FiCSUM.unsupervised(d, k, seed = seed)
-    case "ER"     => FiCSUM.errorRate(d, k, seed = seed)
-    case "HTCD"   => new Htcd(d, k, seed = seed)
-    case "RCD"    => new Rcd(d, k, seed = seed)
-    case "DWM"    => new Dwm(d, k, seed = seed)
-    case "ARF"    => new Arf(d, k, seed = seed)
-    case s if s.startsWith("fn:") =>
-      val label = s.stripPrefix("fn:")
-      if (label == "Shapley Value")
-        FiCSUM.singleFunction(s, d, k, IndexedSeq.empty, seed = seed)
-      else {
+  def create(name: String, d: Int, k: Int, seed: Long): StreamSystem = {
+    def ficsum(spec: FingerprintSpec) = new FiCSUM(name, d, k, spec, seed = seed)
+    name match {
+      case "FiCSUM"           => ficsum(FingerprintSpec.full(d))
+      case "S-MI"             => ficsum(FingerprintSpec.supervised(d))
+      case "U-MI"             => ficsum(FingerprintSpec.unsupervised(d))
+      case "ER"               => ficsum(FingerprintSpec.errorRate(d))
+      case "fn:Shapley Value" => ficsum(FingerprintSpec.shapleyOnly(d))
+      case s if s.startsWith("fn:") =>
+        val label = s.stripPrefix("fn:")
         val fns = MetaFunctions.tableVGroups.collectFirst { case (l, f) if l == label => f }
           .getOrElse(throw new NoSuchElementException(s"unknown function group $label"))
-        FiCSUM.singleFunction(s, d, k, fns, seed = seed)
-      }
-    case other => throw new NoSuchElementException(s"unknown system $other")
+        ficsum(FingerprintSpec.singleFunction(d, fns))
+      case "HTCD" => new Htcd(d, k, seed = seed)
+      case "RCD"  => new Rcd(d, k, seed = seed)
+      case "DWM"  => new Dwm(d, k, seed = seed)
+      case "ARF"  => new Arf(d, k, seed = seed)
+      case other  => throw new NoSuchElementException(s"unknown system $other")
+    }
   }
 }
 

@@ -18,35 +18,37 @@ package repro.stream
   */
 object Datasets {
 
-  /** A dataset is a recipe: given a seed, materialize a stream. */
+  /** A dataset is a recipe: given a seed, its concepts; `build` lays them
+    * out as a recurrent stream.
+    */
   final case class Spec(
       name: String,
       numFeatures: Int,
       numContexts: Int,
       segLen: Int,
       occurrences: Int,
-      build: Long => GeneratedStream,
+      concepts: Long => IndexedSeq[ConceptGenerator],
   ) {
     def length: Int = segLen * occurrences * numContexts
+
+    def build(seed: Long): GeneratedStream =
+      RecurrentStream.generate(name, concepts(seed), segLen, occurrences, seed)
   }
 
   private def pyxDriven(name: String, d: Int, k: Int, segLen: Int, occ: Int,
                         noise: Double, sigma: Double): Spec =
-    Spec(name, d, k, segLen, occ, seed => {
-      val concepts = (0 until k).map(c =>
+    Spec(name, d, k, segLen, occ, seed =>
+      (0 until k).map(c =>
         new GaussianMixtureConcept(seed * 7919 + 1, seed * 1000 + c, d, 2,
-          sigma = sigma, labelNoise = noise))
-      RecurrentStream.generate(name, concepts.toIndexedSeq, segLen, occ, seed)
-    })
+          sigma = sigma, labelNoise = noise)))
 
   private def pxDriven(name: String, d: Int, k: Int, segLen: Int, occ: Int,
-                       noise: Double, spec: ModSpec): Spec =
+                       noise: Double, mod: ModSpec,
+                       labeller: (Long, Int) => LabelFunction = balancedTree): Spec =
     Spec(name, d, k, segLen, occ, seed => {
-      // One labelling tree for all contexts; only p(X) changes.
-      val shared = balancedTree(seed * 1000 + 999, d)
-      val concepts =
-        (0 until k).map(c => new ModulatedConcept(shared, d, seed * 1000 + c, spec, noise))
-      RecurrentStream.generate(name, concepts.toIndexedSeq, segLen, occ, seed)
+      // One labelling function for all contexts; only p(X) changes.
+      val shared = labeller(seed * 1000 + 999, d)
+      (0 until k).map(c => new ModulatedConcept(shared, d, seed * 1000 + c, mod, noise))
     })
 
   /** A shared labelling tree whose classes are not degenerate: retry seeds
@@ -72,50 +74,25 @@ object Datasets {
   val qg: Spec      = pxDriven("QG",       d = 63, k = 10, segLen = 200, occ = 3, noise = 0.10, ModSpec.D)
   val uciWine: Spec = pxDriven("UCI-Wine", d = 11, k = 2, segLen = 450, occ = 3, noise = 0.30, ModSpec.DA)
 
-  val stagger: Spec = Spec("STAGGER", 3, 3, 450, 3, seed => {
-    val concepts = (0 until 3).map(StaggerConcept(_))
-    RecurrentStream.generate("STAGGER", concepts.toIndexedSeq, 450, 3, seed)
-  })
+  val stagger: Spec = Spec("STAGGER", 3, 3, 450, 3, _ => (0 until 3).map(StaggerConcept(_)))
 
-  val rbf: Spec = Spec("RBF", 10, 6, 450, 3, seed => {
-    val concepts = (0 until 6).map(c => new RbfConcept(seed * 1000 + c, 10, 2))
-    RecurrentStream.generate("RBF", concepts.toIndexedSeq, 450, 3, seed)
-  })
+  val rbf: Spec = Spec("RBF", 10, 6, 450, 3, seed =>
+    (0 until 6).map(c => new RbfConcept(seed * 1000 + c, 10, 2)))
 
-  val rtree: Spec = Spec("RTREE", 10, 6, 450, 3, seed => {
-    // Shallow trees keep per-segment learnability comparable to the paper's
-    // longer segments (their classifiers also accumulate over 9 recurrences).
-    val concepts =
-      (0 until 6).map(c => new RandomTreeConcept(seed * 1000 + c, 10, 2, maxDepth = 3))
-    RecurrentStream.generate("RTREE", concepts.toIndexedSeq, 450, 3, seed)
-  })
+  // Shallow trees keep per-segment learnability comparable to the paper's
+  // longer segments (their classifiers also accumulate over 9 recurrences).
+  val rtree: Spec = Spec("RTREE", 10, 6, 450, 3, seed =>
+    (0 until 6).map(c => new RandomTreeConcept(seed * 1000 + c, 10, 2, maxDepth = 3)))
 
-  val hplaneU: Spec = Spec("HPLANE-U", 10, 6, 450, 3, seed => {
-    val shared = new HyperplaneConcept(seed * 1000 + 999, 10)
-    val concepts =
-      (0 until 6).map(c => new ModulatedConcept(shared, 10, seed * 1000 + c, ModSpec.DAF, 0.15))
-    RecurrentStream.generate("HPLANE-U", concepts.toIndexedSeq, 450, 3, seed)
-  })
-
-  val rtreeU: Spec = Spec("RTREE-U", 10, 6, 450, 3, seed => {
-    val shared = balancedTree(seed * 1000 + 999, 10)
-    val concepts =
-      (0 until 6).map(c => new ModulatedConcept(shared, 10, seed * 1000 + c, ModSpec.DAF, 0.02))
-    RecurrentStream.generate("RTREE-U", concepts.toIndexedSeq, 450, 3, seed)
-  })
+  val hplaneU: Spec = pxDriven("HPLANE-U", d = 10, k = 6, segLen = 450, occ = 3, noise = 0.15, ModSpec.DAF,
+    labeller = new HyperplaneConcept(_, _))
+  val rtreeU: Spec  = pxDriven("RTREE-U",  d = 10, k = 6, segLen = 450, occ = 3, noise = 0.02, ModSpec.DAF)
 
   /** Table V family: random-tree base, per-concept modulation of the given
     * drift types, shared labelling tree.
     */
-  def synth(spec: ModSpec): Spec = {
-    val name = s"Synth_${spec.tag}"
-    Spec(name, 10, 6, 400, 3, seed => {
-      val shared = balancedTree(seed * 1000 + 999, 10)
-      val concepts =
-        (0 until 6).map(c => new ModulatedConcept(shared, 10, seed * 1000 + c, spec, 0.02))
-      RecurrentStream.generate(name, concepts.toIndexedSeq, 400, 3, seed)
-    })
-  }
+  def synth(spec: ModSpec): Spec =
+    pxDriven(s"Synth_${spec.tag}", d = 10, k = 6, segLen = 400, occ = 3, noise = 0.02, spec)
 
   /** The 11 Table II datasets, in the paper's row order. */
   val all: IndexedSeq[Spec] = IndexedSeq(

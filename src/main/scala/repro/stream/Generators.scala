@@ -70,11 +70,7 @@ final class RandomTreeConcept(
 
   def next(rng: Random, t: Int): Observation = {
     val x = Array.fill(numFeatures)(rng.nextDouble())
-    val y0 = classify(root, x)
-    val y  = if (labelNoise > 0 && rng.nextDouble() < labelNoise) {
-      val o = rng.nextInt(numClasses - 1); if (o >= y0) o + 1 else o
-    } else y0
-    Observation(x, y)
+    Observation(x, withLabelNoise(rng, classify(root, x), labelNoise))
   }
 }
 
@@ -139,11 +135,7 @@ final class GaussianMixtureConcept(
   def next(rng: Random, t: Int): Observation = {
     val c = rng.nextInt(numClusters)
     val x = Array.tabulate(numFeatures)(j => centres(c)(j) + rng.nextGaussian() * sigma)
-    val y0 = labels(c)
-    val y = if (labelNoise > 0 && rng.nextDouble() < labelNoise) {
-      val o = rng.nextInt(numClasses - 1); if (o >= y0) o + 1 else o
-    } else y0
-    Observation(x, y)
+    Observation(x, withLabelNoise(rng, labels(c), labelNoise))
   }
 }
 
@@ -170,6 +162,8 @@ final class HyperplaneConcept(
   def next(rng: Random, t: Int): Observation = {
     val x = Array.fill(numFeatures)(rng.nextDouble())
     val y0 = label(x)
+    // Two classes: flip without the extra draw `withLabelNoise` would take,
+    // which would shift every later observation of the stream.
     val y  = if (labelNoise > 0 && rng.nextDouble() < labelNoise) 1 - y0 else y0
     Observation(x, y)
   }

@@ -78,10 +78,6 @@ final class ModulatedConcept(
       x(j) = v
       j += 1
     }
-    val y0 = labeler.label(x)
-    val y = if (labelNoise > 0 && rng.nextDouble() < labelNoise) {
-      val o = rng.nextInt(numClasses - 1); if (o >= y0) o + 1 else o
-    } else y0
-    Observation(x, y)
+    Observation(x, withLabelNoise(rng, labeler.label(x), labelNoise))
   }
 }

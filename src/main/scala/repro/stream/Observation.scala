@@ -30,4 +30,10 @@ trait ConceptGenerator extends Serializable {
     * behave identically.
     */
   def reset(): Unit = ()
+
+  /** `y`, or with probability `rate` a uniformly drawn other class. */
+  protected def withLabelNoise(rng: scala.util.Random, y: Int, rate: Double): Int =
+    if (rate > 0 && rng.nextDouble() < rate) {
+      val o = rng.nextInt(numClasses - 1); if (o >= y) o + 1 else o
+    } else y
 }

@@ -1,14 +1,18 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.eval.Systems
 import repro.stream.{Datasets, StaggerConcept, RecurrentStream}
 
 class FiCSUMSpec extends AnyFunSuite {
 
   private lazy val stagger = Datasets.stagger.build(1)
 
+  private def full(d: Int, k: Int, seed: Long): FiCSUM =
+    new FiCSUM("FiCSUM", d, k, FingerprintSpec.full(d), seed = seed)
+
   test("detects drifts and builds a repository on STAGGER") {
-    val f = FiCSUM.full(stagger.numFeatures, stagger.numClasses, seed = 1)
+    val f = full(stagger.numFeatures, stagger.numClasses, seed = 1)
     stagger.obs.foreach(o => f.step(o.x, o.y))
     assert(f.driftCount >= 3, s"drifts=${f.driftCount}")
     assert(f.repositorySize >= 2, s"repo=${f.repositorySize}")
@@ -16,7 +20,7 @@ class FiCSUMSpec extends AnyFunSuite {
   }
 
   test("step returns predictions in class range and near-stable model ids") {
-    val f = FiCSUM.full(3, 2, seed = 2)
+    val f = full(3, 2, seed = 2)
     val rng = new scala.util.Random(3)
     val gen = StaggerConcept(0)
     var maxModel = 0
@@ -32,7 +36,7 @@ class FiCSUMSpec extends AnyFunSuite {
   }
 
   test("stationary stream yields no (or almost no) drift detections") {
-    val f = FiCSUM.full(3, 2, seed = 4)
+    val f = full(3, 2, seed = 4)
     val rng = new scala.util.Random(5)
     val gen = StaggerConcept(1)
     (0 until 2000).foreach(t => f.step(gen.next(rng, t).x, gen.next(rng, t).y))
@@ -40,7 +44,7 @@ class FiCSUMSpec extends AnyFunSuite {
   }
 
   test("probe returns similarities once two concepts are stored") {
-    val f = FiCSUM.full(stagger.numFeatures, stagger.numClasses, seed = 1)
+    val f = full(stagger.numFeatures, stagger.numClasses, seed = 1)
     var probed = false
     stagger.obs.foreach { o =>
       f.step(o.x, o.y)
@@ -56,14 +60,17 @@ class FiCSUMSpec extends AnyFunSuite {
   }
 
   test("variants restrict the fingerprint sources") {
-    assert(FiCSUM.errorRate(5, 2).name == "ER")
-    assert(FiCSUM.supervised(5, 2).name == "S-MI")
-    assert(FiCSUM.unsupervised(5, 2).name == "U-MI")
-    assert(FiCSUM.full(5, 2).name == "FiCSUM")
+    for (name <- Seq("ER", "S-MI", "U-MI", "FiCSUM"))
+      assert(Systems.create(name, 5, 2, 42).asInstanceOf[FiCSUM].name == name)
+    // 5 feature + 4 supervised sources, 12 functions, 5 Shapley dims.
+    assert(FingerprintSpec.errorRate(5).dim == 1)
+    assert(FingerprintSpec.supervised(5).dim == 4 * 12)
+    assert(FingerprintSpec.unsupervised(5).dim == 5 * 12)
+    assert(FingerprintSpec.full(5).dim == 9 * 12 + 5)
   }
 
   test("engine is serializable mid-stream and resumes identically") {
-    val f = FiCSUM.full(stagger.numFeatures, stagger.numClasses, seed = 1)
+    val f = full(stagger.numFeatures, stagger.numClasses, seed = 1)
     stagger.obs.take(700).foreach(o => f.step(o.x, o.y))
 
     def roundTrip(e: FiCSUM): FiCSUM = {
@@ -82,33 +89,32 @@ class FiCSUMSpec extends AnyFunSuite {
   test("recurrences reuse stored classifiers (repo smaller than segments)") {
     // 3 concepts x 4 occurrences = 12 segments; a working model-selection
     // keeps the repository well below one-concept-per-segment.
-    val f = FiCSUM.full(stagger.numFeatures, stagger.numClasses, seed = 1)
+    val f = full(stagger.numFeatures, stagger.numClasses, seed = 1)
     stagger.obs.foreach(o => f.step(o.x, o.y))
     assert(f.repositorySize < 10, s"repo=${f.repositorySize} for 12 segments")
   }
 
   test("fingerprintUpdates and detectorUpdates advance") {
-    val f = FiCSUM.full(stagger.numFeatures, stagger.numClasses, seed = 1)
+    val f = full(stagger.numFeatures, stagger.numClasses, seed = 1)
     stagger.obs.take(1000).foreach(o => f.step(o.x, o.y))
     assert(f.fingerprintUpdates > 100)
     assert(f.detectorUpdates > 10)
   }
 
   test("ER variant works end to end on STAGGER") {
-    val f = FiCSUM.errorRate(stagger.numFeatures, stagger.numClasses, seed = 1)
+    val f = Systems.create("ER", stagger.numFeatures, stagger.numClasses, 1).asInstanceOf[FiCSUM]
     stagger.obs.foreach(o => f.step(o.x, o.y))
     assert(f.driftCount >= 3)
   }
 
   test("single-function variant (mean) runs end to end") {
-    val f = FiCSUM.singleFunction("fn:Mean", 3, 2,
-      IndexedSeq(repro.meta.MetaFunctions.Mean), seed = 1)
+    val f = Systems.create("fn:Mean", 3, 2, 1).asInstanceOf[FiCSUM]
     stagger.obs.take(1500).foreach(o => f.step(o.x, o.y))
     assert(f.fingerprintUpdates > 0)
   }
 
   test("shapley-only variant runs end to end") {
-    val f = FiCSUM.singleFunction("fn:Shapley Value", 3, 2, IndexedSeq.empty, seed = 1)
+    val f = Systems.create("fn:Shapley Value", 3, 2, 1).asInstanceOf[FiCSUM]
     stagger.obs.take(1500).foreach(o => f.step(o.x, o.y))
     assert(f.fingerprintUpdates > 0)
   }
@@ -118,12 +124,30 @@ class FiCSUMSpec extends AnyFunSuite {
     assert(FiCSUMConfig(windowSize = 4, bufferRatio = 0.01).bufferLen == 1)
   }
 
+  test("consecutive drifts are at least b + w steps apart") {
+    // The second check at drift step + w relies on this: a drift clears the
+    // buffer, and detection needs a full buffer of b + w rows.
+    val cfg = FiCSUMConfig()
+    for (spec <- Seq(Datasets.stagger, Datasets.aqSex)) {
+      val s = spec.build(1)
+      val f = full(s.numFeatures, s.numClasses, seed = 1)
+      val driftSteps = s.obs.zipWithIndex.flatMap { case (o, t) =>
+        val before = f.driftCount
+        f.step(o.x, o.y)
+        if (f.driftCount > before) Some(t) else None
+      }
+      assert(driftSteps.length >= 3, s"${spec.name}: drifts at $driftSteps")
+      val gaps = driftSteps.sliding(2).map(p => p(1) - p(0)).toSeq
+      assert(gaps.forall(_ >= cfg.bufferLen + cfg.windowSize), s"${spec.name}: drifts at $driftSteps")
+    }
+  }
+
   test("second model selection can replace a freshly created concept") {
     // Run a stream with a guaranteed recurrence pattern A-B-A-B-A-B and
     // check that the repository converges instead of growing per segment.
     val concepts = IndexedSeq(StaggerConcept(0), StaggerConcept(2))
     val s = RecurrentStream.generate("ab", concepts, 300, 3, 5)
-    val f = FiCSUM.full(3, 2, seed = 5)
+    val f = full(3, 2, seed = 5)
     s.obs.foreach(o => f.step(o.x, o.y))
     assert(f.repositorySize <= 4, s"repo=${f.repositorySize} for 2 true concepts")
   }

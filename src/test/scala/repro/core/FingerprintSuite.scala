@@ -127,13 +127,12 @@ class RunningVecSpec extends AnyFunSuite {
     assert(math.abs(rv.count(0) - c * 0.3) < 1e-9)
   }
 
-  test("RunningScalar mean/std/reset") {
+  test("RunningScalar mean/std") {
     val rs = new RunningScalar
+    assert(rs.count == 0 && rs.mean == 0.0 && rs.std == 0.0)
     Seq(1.0, 2.0, 3.0).foreach(rs.add)
     assert(rs.mean == 2.0 && rs.count == 3)
     assert(math.abs(rs.std - math.sqrt(2.0 / 3)) < 1e-9)
-    rs.reset()
-    assert(rs.count == 0 && rs.mean == 0.0 && rs.std == 0.0)
   }
 
   test("ConceptState budget mechanics") {
@@ -141,21 +140,23 @@ class RunningVecSpec extends AnyFunSuite {
     assert(!cs.frozen && cs.openRemaining == ConceptState.InitialBudget)
     cs.openRemaining = 0
     assert(cs.frozen)
-    cs.grantBudget(ConceptState.SplitBudget, capped = true)
+    cs.grantBudget(ConceptState.SplitBudget)
     assert(cs.openRemaining == ConceptState.SplitBudget)
-    // Exhaust the per-activation cap; further capped grants are ignored.
+    // Exhaust the per-activation cap; further grants are ignored.
     cs.openedSinceActivation = ConceptState.MaxPerActivation
     cs.openRemaining = 0
-    cs.grantBudget(ConceptState.SplitBudget, capped = true)
+    cs.grantBudget(ConceptState.SplitBudget)
     assert(cs.frozen)
+    // Re-activation restarts the per-activation count, so its grant lands.
     cs.markActivated()
-    assert(!cs.frozen && cs.openedSinceActivation >= 0)
+    assert(cs.openRemaining == ConceptState.ReuseBudget)
+    assert(cs.openedSinceActivation == ConceptState.ReuseBudget)
   }
 
   test("ConceptState sample ring buffer caps") {
     val cs = new ConceptState(0, 2, new repro.classifier.HoeffdingTree(2, 2))
     (0 until 12).foreach(i => cs.addSample(Array(i.toDouble, 0.0)))
-    assert(cs.sampleFps.length == 8)
-    assert(cs.sampleFps.head(0) == 4.0) // oldest evicted
+    assert(cs.sampleFps.length == ConceptState.MaxSamples)
+    assert(cs.sampleFps.head(0) == 12.0 - ConceptState.MaxSamples) // oldest evicted
   }
 }

@@ -49,8 +49,10 @@ class RunnerSpec extends AnyFunSuite {
 }
 
 /** Outputs-unchanged gate for refactors: κ, C-F1 and discrimination (by bit
-  * pattern) and the model count of fixed cells, recorded before the shared
-  * meta-information kernel replaced the per-function closures.
+  * pattern) and the model count of fixed cells. The first four rows were
+  * recorded before the shared meta-information kernel replaced the
+  * per-function closures; the rest (the other variants and the baselines)
+  * before the FiCSUM drift path and `Systems.create` were simplified.
   */
 class GoldenOutcomeSpec extends AnyFunSuite {
   import java.lang.Double.doubleToLongBits
@@ -60,6 +62,13 @@ class GoldenOutcomeSpec extends AnyFunSuite {
     ("U-MI", 0x3fda8b0205622dfaL, 0x3fdfb1fb1fb1fb1fL, 0x7ff8000000000000L, 4),
     ("ER", 0x3fe37004312cd739L, 0x3fe36d03bcd63ce2L, 0x3ff1e9fe16657657L, 5),
     ("fn:Entropy of IMFs", 0x3fdd5b941a0e60b6L, 0x3fde5c920e797248L, 0x3fd4b66dfa9e606bL, 4),
+    ("S-MI", 0x3fe6a2c0fbade1dcL, 0x3fe22833a0613633L, 0x40332168adda35d9L, 8),
+    ("HTCD", 0x3fecf942323f712cL, 0x3fe2c6160d4b4ec5L, 0x7ff8000000000000L, 9),
+    ("RCD", 0x3fea73eb52bf88d1L, 0x3fe25534ff51043bL, 0x7ff8000000000000L, 8),
+    ("DWM", 0x3fed213a0caedae8L, 0x3fe0000000000000L, 0x7ff8000000000000L, 1),
+    ("ARF", 0x3fedc4ccc057f67bL, 0x3fe0000000000000L, 0x7ff8000000000000L, 1),
+    ("fn:Shapley Value", 0x3fd86934d7aad166L, 0x3fdd66628460ce33L, 0x404076f394ff81a9L, 4),
+    ("fn:Mean", 0x3fdc7f0848aa3a76L, 0x3fe1dcbc32aaa78fL, 0x401118cfcb9e7acdL, 2),
   )
 
   private lazy val stream = Datasets.stagger.build(1)

@@ -98,6 +98,48 @@ class DatasetsSpec extends AnyFunSuite {
     intercept[NoSuchElementException](Datasets.byName("nope"))
   }
 
+  /** FNV-1a over every observation's feature bits, its label and its
+    * concept id, in stream order.
+    */
+  private def contentHash(s: GeneratedStream): Long = {
+    var h = 0xcbf29ce484222325L
+    def mix(v: Long): Unit = h = (h ^ v) * 0x100000001b3L
+    for ((o, c) <- s.obs.zip(s.conceptIds)) {
+      o.x.foreach(v => mix(java.lang.Double.doubleToLongBits(v)))
+      mix(o.y.toLong)
+      mix(c.toLong)
+    }
+    h
+  }
+
+  // Recorded before the dataset recipes were factored into one `Spec.build`.
+  private val seed1Hashes = Map[String, Long](
+    "AQTemp" -> 0x279dc8974fe6638fL,
+    "AQSex" -> 0x2ad69ced6f78cf38L,
+    "Arabic" -> 0xb093dccf4c285991L,
+    "CMC" -> 0x04d688e56442e098L,
+    "QG" -> 0x7f0264bcedba678bL,
+    "UCI-Wine" -> 0x8321a177695491ffL,
+    "RBF" -> 0x9b577259319f124aL,
+    "RTREE" -> 0xe3461c6c0ac362dfL,
+    "STAGGER" -> 0x47f6ac73e1f4a3ccL,
+    "HPLANE-U" -> 0x49e3a3b54863dfd6L,
+    "RTREE-U" -> 0x081d4c1da5993363L,
+    "Synth_A" -> 0xa7fff6c861936cd3L,
+    "Synth_AF" -> 0xf17718dbdd44c0eaL,
+    "Synth_D" -> 0xa514c3c53d6212f4L,
+    "Synth_DA" -> 0x193fc15317c27c77L,
+    "Synth_DAF" -> 0x9255a8a956e991a2L,
+    "Synth_DF" -> 0x623a39d24e3f32d5L,
+    "Synth_F" -> 0x9e621245b71764a2L,
+  )
+
+  test("seed-1 streams of every registered dataset are unchanged") {
+    val got = (Datasets.all ++ Datasets.synthFamily).map(s => s.name -> contentHash(s.build(1))).toMap
+    for ((name, h) <- seed1Hashes) assert(got(name) == h, f"$name: 0x${got(name)}%016x")
+    assert(got.keySet == seed1Hashes.keySet)
+  }
+
   test("streams are deterministic per seed and differ across seeds") {
     val a = Datasets.stagger.build(1)
     val b = Datasets.stagger.build(1)
