@@ -44,7 +44,7 @@ final class HoeffdingTree(
   /** Structural-change counter: number of splits performed so far. */
   var splitEvents: Long = 0L
 
-  private sealed trait Node extends Serializable {
+  private[classifier] sealed trait Node extends Serializable {
     /** Class counts of observations routed through this node. */
     val classCounts: Array[Double] = new Array[Double](numClasses)
     def totalWeight: Double = { var s = 0.0; var i = 0; while (i < numClasses) { s += classCounts(i); i += 1 }; s }
@@ -55,7 +55,7 @@ final class HoeffdingTree(
     }
   }
 
-  private final class Leaf(val depth: Int) extends Node {
+  private[classifier] final class Leaf(val depth: Int) extends Node {
     val observers: Array[Array[GaussianEstimator]] =
       Array.fill(numFeatures, numClasses)(new GaussianEstimator)
     val mins = Array.fill(numFeatures)(Double.PositiveInfinity)
@@ -98,7 +98,7 @@ final class HoeffdingTree(
       if (totalWeight >= cfg.nbThreshold && nbCorrect >= mcCorrect) nbProba(x) else proba
   }
 
-  private final class Split(
+  private[classifier] final class Split(
       val feature: Int,
       val threshold: Double,
       var left: Node,
@@ -107,7 +107,7 @@ final class HoeffdingTree(
     def route(x: Array[Double]): Node = if (x(feature) <= threshold) left else right
   }
 
-  private var root: Node = new Leaf(0)
+  private[classifier] var root: Node = new Leaf(0)
 
   // ---------------------------------------------------------------- predict
 
@@ -135,21 +135,32 @@ final class HoeffdingTree(
     */
   def featureContributions(x: Array[Double]): Array[Double] = {
     val contrib = new Array[Double](numFeatures)
+    explain(x, contrib)
+    contrib
+  }
+
+  /** [[predict]] and [[featureContributions]] from one leaf evaluation:
+    * adds the path attributions of `x` to `contrib` (zero on entry for the
+    * attributions alone) and returns the predicted class.
+    */
+  def explain(x: Array[Double], contrib: Array[Double]): Int = {
     var n = root
-    val yHat = predict(x)
+    while (n.isInstanceOf[Split]) n = n.asInstanceOf[Split].route(x)
+    val leafP = n.asInstanceOf[Leaf].leafProba(x)
+    var yHat = 0
+    var i = 1
+    while (i < leafP.length) { if (leafP(i) > leafP(yHat)) yHat = i; i += 1 }
+    n = root
     var pPrev = n.proba(yHat)
     while (n.isInstanceOf[Split]) {
       val s = n.asInstanceOf[Split]
       val child = s.route(x)
-      val pChild = child match {
-        case l: Leaf => l.leafProba(x)(yHat)
-        case o       => o.proba(yHat)
-      }
+      val pChild = if (child.isInstanceOf[Leaf]) leafP(yHat) else child.proba(yHat)
       contrib(s.feature) += math.abs(pChild - pPrev)
       pPrev = pChild
       n = child
     }
-    contrib
+    yHat
   }
 
   // ------------------------------------------------------------------ train

@@ -41,7 +41,7 @@ final class FiCSUM(
     val name: String,
     numFeatures: Int,
     numClasses: Int,
-    spec: FingerprintSpec,
+    val spec: FingerprintSpec,
     cfg: FiCSUMConfig = FiCSUMConfig(),
     seed: Long = 42,
 ) extends StreamSystem with Probeable {
@@ -87,18 +87,33 @@ final class FiCSUM(
 
   // ------------------------------------------------------------- internals
 
-  private def window(tail: Boolean): IndexedSeq[Labeled] =
-    if (tail) buf.takeRight(w).toIndexedSeq else buf.take(w).toIndexedSeq
+  private def tailWindow: IndexedSeq[Labeled] = buf.takeRight(w).toIndexedSeq
 
-  private def fingerprint(win: IndexedSeq[Labeled], s: ConceptState): Array[Double] =
-    Fingerprinter.make(spec, win, Some(s.classifier))
-
-  /** Fingerprint of `win` as concept `s` would see it: s's classifier
-    * re-predicts the labels (paper's F_AS / F_SC construction).
+  /** Path attributions of each of `rows` under `tree`, one leaf evaluation
+    * per row; empty when the spec has no Shapley dims.
     */
-  private def foreignFingerprint(win: IndexedSeq[Labeled], s: ConceptState): Array[Double] = {
-    val relabeled = win.map(o => o.copy(l = s.classifier.predict(o.x)))
-    Fingerprinter.make(spec, relabeled, Some(s.classifier))
+  private def contributions(rows: IndexedSeq[Labeled], tree: HoeffdingTree): IndexedSeq[Array[Double]] =
+    if (!spec.includeShapley) IndexedSeq.empty
+    else rows.map { o => val c = new Array[Double](numFeatures); tree.explain(o.x, c); c }
+
+  /** `rows` as concept `s` would see them: s's classifier re-predicts the
+    * labels (paper's F_AS / F_SC construction) and, with Shapley dims,
+    * attributes each row from the same leaf evaluation.
+    */
+  private def foreignRows(rows: IndexedSeq[Labeled], s: ConceptState): (IndexedSeq[Labeled], IndexedSeq[Array[Double]]) =
+    if (!spec.includeShapley) (rows.map(o => o.copy(l = s.classifier.predict(o.x))), IndexedSeq.empty)
+    else {
+      val contribs = rows.map(_ => new Array[Double](numFeatures))
+      (rows.indices.map(k => rows(k).copy(l = s.classifier.explain(rows(k).x, contribs(k)))), contribs)
+    }
+
+  /** Fingerprint of `win` as concept `s` would see it; `shared` holds the
+    * window's classifier-free kernel outputs, the same for every concept.
+    */
+  private[core] def foreignFingerprint(
+      win: IndexedSeq[Labeled], s: ConceptState, shared: Map[Source, Array[Double]]): Array[Double] = {
+    val (relabeled, contribs) = foreignRows(win, s)
+    Fingerprinter.make(spec, relabeled, contribs, shared)
   }
 
   private def simTo(s: ConceptState, raw: Array[Double], weights: Array[Double]): Double =
@@ -107,12 +122,11 @@ final class FiCSUM(
   private def selectModel(exclude: Option[ConceptState]): Option[ConceptState] = {
     // Average the tested similarity over staggered sub-windows of the
     // buffer to cut single-window sampling noise before the band test.
-    val wins: Seq[IndexedSeq[Labeled]] =
-      if (buf.length >= w + 2) {
-        val all = buf.toIndexedSeq
-        val offsets = Seq(0, (all.length - w) / 2, all.length - w).distinct
-        offsets.map(o => all.slice(o, o + w))
-      } else Seq(window(tail = true))
+    val all = buf.toIndexedSeq
+    val offsets =
+      if (all.length >= w + 2) Seq(0, (all.length - w) / 2, all.length - w).distinct
+      else Seq(math.max(0, all.length - w))
+    lazy val shared = offsets.map(o => Fingerprinter.classifierFree(spec, all.slice(o, o + w)))
     val scored = repo.iterator
       .filter(s => !exclude.contains(s))
       .filter(s => s.stats.totalCount >= 2 && s.sampleFps.nonEmpty)
@@ -121,7 +135,12 @@ final class FiCSUM(
         // a self-similarity band recomputed from retained sample
         // fingerprints under the current normalizer/weights (§IV).
         val ws = DynamicWeights.compute(s, repo.toIndexedSeq, normalizer)
-        val sims = wins.map(wn => simTo(s, foreignFingerprint(wn, s), ws))
+        // One leaf evaluation per buffer row, sliced into the sub-windows.
+        val (relabeled, contribs) = foreignRows(all, s)
+        val sims = offsets.zip(shared).map { case (o, sh) =>
+          val fp = Fingerprinter.make(spec, relabeled.slice(o, o + w), contribs.slice(o, o + w), sh)
+          simTo(s, fp, ws)
+        }
         val simAvg = sims.sum / sims.length
         val selfSims = s.sampleFps.map(fp => simTo(s, fp, ws))
         val selfMu = selfSims.sum / selfSims.length
@@ -201,10 +220,11 @@ final class FiCSUM(
     val full = buf.length == b + w
     if (full && i % cfg.fingerprintGap == 0) {
       fingerprintUpdates += 1
-      val winA = window(tail = true)
-      val winB = window(tail = false)
-      val fA = fingerprint(winA, active)
-      val fB = fingerprint(winB, active)
+      // Each buffer row is attributed once; A is the tail window, B the head.
+      val rows = buf.toIndexedSeq
+      val contribs = contributions(rows, active.classifier)
+      val fA = Fingerprinter.make(spec, rows.takeRight(w), contribs.takeRight(w))
+      val fB = Fingerprinter.make(spec, rows.take(w), contribs.take(w))
       normalizer.update(fA)
       normalizer.update(fB)
       plasticityCheck()
@@ -260,9 +280,10 @@ final class FiCSUM(
     }
 
     if (buf.length == b + w && i % cfg.repoGap == 0 && repo.length > 1) {
-      val winA = window(tail = true)
+      val winA = tailWindow
+      val shared = Fingerprinter.classifierFree(spec, winA)
       for (s <- repo if !(s eq active)) {
-        val fSC = foreignFingerprint(winA, s)
+        val fSC = foreignFingerprint(winA, s, shared)
         normalizer.update(fSC)
         s.scStats.add(fSC)
       }
@@ -290,11 +311,12 @@ final class FiCSUM(
 
   def probe(): Option[ProbeResult] = {
     if (repo.length < 2 || buf.length < w) return None
-    val win = window(tail = true)
+    val win = tailWindow
     val usable = repo.filter(s => s.stats.totalCount >= 2)
     if (usable.length < 2) return None
+    val shared = Fingerprinter.classifierFree(spec, win)
     val sims = usable.map { s =>
-      s.id -> simTo(s, foreignFingerprint(win, s), lastWeights)
+      s.id -> simTo(s, foreignFingerprint(win, s, shared), lastWeights)
     }.toMap
     val sigmas = usable.map(s => s.id -> s.simStats.std).toMap
     Some(ProbeResult(sims, sigmas))

@@ -113,6 +113,16 @@ object Fingerprinter {
       else errIdx.sliding(2).map(p => (p(1) - p(0)).toDouble).toArray
   }
 
+  /** Kernel outputs of the classifier-free sources of `window` (input
+    * features and labels) under `spec`. They do not depend on which
+    * classifier relabels the window, so every stored concept's foreign
+    * fingerprint of one window can share them.
+    */
+  def classifierFree(spec: FingerprintSpec, window: IndexedSeq[Labeled]): Map[Source, Array[Double]] =
+    spec.sources.collect { case s @ (FeatureSource(_) | LabelSource) =>
+      s -> SeqStats.describe(sourceSeq(s, window), spec.slots)
+    }.toMap
+
   /** Raw (unnormalized) fingerprint of `window`. `classifier` supplies the
     * Shapley (path-attribution) dimensions when the spec includes them.
     */
@@ -121,11 +131,29 @@ object Fingerprinter {
       window: IndexedSeq[Labeled],
       classifier: Option[HoeffdingTree],
   ): Array[Double] = {
+    val contribs = classifier match {
+      case Some(tree) if spec.includeShapley => window.map(o => tree.featureContributions(o.x))
+      case _                                 => IndexedSeq.empty
+    }
+    make(spec, window, contribs)
+  }
+
+  /** Raw fingerprint of `window` from precomputed parts: `contribs(i)` are
+    * row i's path attributions (empty: no classifier, zero Shapley dims),
+    * and `shared` holds kernel outputs of sources already computed for
+    * this window (see [[classifierFree]]).
+    */
+  def make(
+      spec: FingerprintSpec,
+      window: IndexedSeq[Labeled],
+      contribs: IndexedSeq[Array[Double]],
+      shared: Map[Source, Array[Double]] = Map.empty,
+  ): Array[Double] = {
     require(window.nonEmpty, "cannot fingerprint an empty window")
     val out = new Array[Double](spec.dim)
     var k = 0
     for (s <- spec.sources) {
-      val vals = SeqStats.describe(sourceSeq(s, window), spec.slots)
+      val vals = shared.getOrElse(s, SeqStats.describe(sourceSeq(s, window), spec.slots))
       for (fn <- spec.functions) {
         out(k) = vals(fn.slot)
         k += 1
@@ -133,12 +161,9 @@ object Fingerprinter {
     }
     if (spec.includeShapley) {
       val acc = new Array[Double](spec.numFeatures)
-      classifier.foreach { tree =>
-        for (o <- window) {
-          val c = tree.featureContributions(o.x)
-          var j = 0
-          while (j < spec.numFeatures) { acc(j) += c(j); j += 1 }
-        }
+      for (c <- contribs) {
+        var j = 0
+        while (j < spec.numFeatures) { acc(j) += c(j); j += 1 }
       }
       var j = 0
       while (j < spec.numFeatures) {

@@ -98,13 +98,11 @@ object DynamicWeights {
   // norms and mask drift-relevant deviations.
   private val SigmaFloor = 5e-2
 
-  /** Scaled std of dim i of `rv` under `norm` (raw σ / observed span). */
-  private def scaledStd(rv: RunningVec, norm: Normalizer, i: Int): Double =
-    rv.std(i) / norm.span(i)
-
-  private def scaledMean(rv: RunningVec, norm: Normalizer, i: Int): Double =
-    rv.mean(i) / norm.span(i)
-
+  /** Per-candidate weights over the concepts of `repo`. Sums run from 0.0
+    * in repository order and the max is a strict `>` scan from the first
+    * concept, which on these finite terms (σs non-negative) gives the same
+    * weights as collection `sum` and `max`.
+    */
   def compute(
       active: ConceptState,
       repo: IndexedSeq[ConceptState],
@@ -113,33 +111,53 @@ object DynamicWeights {
     val dim = active.dim
     val w = new Array[Double](dim)
     val wD = new Array[Double](dim)
-    val withStats = repo.filter(_.stats.totalCount >= 2)
+    val withStats = repo.iterator.filter(_.stats.totalCount >= 2).map(_.stats).toArray
     // Only `add` touches scStats, which counts every dim at once, so the
     // per-dim count test is the same for all dims.
-    val withSc = repo.filter(_.scStats.totalCount >= 2)
+    val withSc = repo.iterator.filter(_.scStats.totalCount >= 2).toArray
+    val nS = withStats.length
+    val nSc = withSc.length
+    val mus = new Array[Double](nS)
     var i = 0
     while (i < dim) {
-      val wSigma = 1.0 / math.max(scaledStd(active.stats, norm, i), SigmaFloor)
+      // Every σ and μ is in [0,1]-scaled units: raw value / observed span.
+      val span = norm.span(i)
+      val wSigma = 1.0 / math.max(active.stats.std(i) / span, SigmaFloor)
 
       // Inter-concept variation v_s: Fisher score of μ_mi across stored
       // concepts relative to the max within-concept σ.
-      val vS =
-        if (withStats.length >= 2) {
-          val mus = withStats.map(s => scaledMean(s.stats, norm, i))
-          val mbar = mus.sum / mus.length
-          val between = math.sqrt(mus.map(m => (m - mbar) * (m - mbar)).sum / mus.length)
-          val maxSigma = withStats.map(s => scaledStd(s.stats, norm, i)).max
-          between / math.max(maxSigma, SigmaFloor)
-        } else 0.0
+      var vS = 0.0
+      if (nS >= 2) {
+        var sum = 0.0
+        var k = 0
+        while (k < nS) { mus(k) = withStats(k).mean(i) / span; sum += mus(k); k += 1 }
+        val mbar = sum / nS
+        var ss = 0.0
+        var maxSigma = withStats(0).std(i) / span
+        k = 0
+        while (k < nS) {
+          val d = mus(k) - mbar
+          ss += d * d
+          val sd = withStats(k).std(i) / span
+          if (sd > maxSigma) maxSigma = sd
+          k += 1
+        }
+        vS = math.sqrt(ss / nS) / math.max(maxSigma, SigmaFloor)
+      }
 
       // Intra-classifier variation v_sc: how much each stored classifier's
       // fingerprint moves on foreign data, relative to its home variation.
-      val vSc =
-        if (withSc.nonEmpty)
-          withSc.map { s =>
-            scaledStd(s.scStats, norm, i) / math.max(scaledStd(s.stats, norm, i), SigmaFloor)
-          }.sum / withSc.length
-        else 0.0
+      var vSc = 0.0
+      if (nSc > 0) {
+        var sum = 0.0
+        var k = 0
+        while (k < nSc) {
+          val s = withSc(k)
+          sum += (s.scStats.std(i) / span) / math.max(s.stats.std(i) / span, SigmaFloor)
+          k += 1
+        }
+        vSc = sum / nSc
+      }
 
       val wd = if (vS == 0.0 && vSc == 0.0) 1.0 else math.max(vS, vSc)
       wD(i) = wd

@@ -138,3 +138,61 @@ class HoeffdingTreeSpec extends AnyFunSuite {
     assert(copy.predictProba(x).toSeq == tree.predictProba(x).toSeq)
   }
 }
+
+/** `explain` against the verbatim two-pass attribution oracle, bit for bit. */
+class ExplainSpec extends AnyFunSuite {
+  import org.scalacheck.{Gen, Prop, Test => SCTest}
+  import repro.core.FiCSUMConfig
+  import repro.stream.{Datasets, GaussianMixtureConcept}
+
+  private val cfg = FiCSUMConfig().treeConfig
+
+  /** A tree trained prequentially on `xs`, and the rows it saw. */
+  private def grown(d: Int, k: Int, xs: Seq[(Array[Double], Int)]): (HoeffdingTree, IndexedSeq[Array[Double]]) = {
+    val t = new HoeffdingTree(d, k, cfg, seed = 5)
+    xs.foreach { case (x, y) => t.train(x, y) }
+    (t, xs.map(_._1).toIndexedSeq)
+  }
+
+  private lazy val trees: IndexedSeq[(String, HoeffdingTree, IndexedSeq[Array[Double]])] = {
+    val aq = Datasets.aqSex.build(1)
+    val cmc = Datasets.cmc.build(1)
+    val gen = new GaussianMixtureConcept(5, 1, 8, numClasses = 3)
+    val rng = new Random(7)
+    val three = (0 until 4000).map { t => val o = gen.next(rng, t); (o.x, o.y) }
+    val (aqTree, aqRows) = grown(aq.numFeatures, aq.numClasses, aq.obs.take(2000).map(o => (o.x, o.y)))
+    val (cmcTree, cmcRows) = grown(cmc.numFeatures, cmc.numClasses, cmc.obs.take(2000).map(o => (o.x, o.y)))
+    val (threeTree, threeRows) = grown(8, 3, three)
+    val (flatTree, flatRows) = grown(8, 3, three.take(40))
+    IndexedSeq(("AQSex", aqTree, aqRows), ("CMC", cmcTree, cmcRows),
+      ("3-class", threeTree, threeRows), ("unsplit", flatTree, flatRows))
+  }
+
+  test("the oracle trees cover naive-Bayes leaves, 3 classes and an unsplit root") {
+    val byName = trees.map { case (n, t, _) => n -> t }.toMap
+    assert(byName("AQSex").splitEvents >= 3, byName("AQSex").splitEvents)
+    assert(ContributionOracle.naiveBayesLeaves(byName("AQSex"), HoeffdingTreeConfig().nbThreshold) >= 1)
+    assert(byName("CMC").splitEvents >= 1 && byName("3-class").splitEvents >= 1)
+    assert(byName("3-class").numClasses == 3)
+    assert(byName("unsplit").splitEvents == 0)
+  }
+
+  private def bits(a: Array[Double]): Seq[Long] = a.toSeq.map(java.lang.Double.doubleToLongBits)
+
+  test("property: explain returns predict and the oracle's attributions bit for bit") {
+    val cases = for {
+      (_, tree, rows) <- Gen.oneOf(trees)
+      x <- Gen.oneOf(
+        Gen.oneOf(rows),
+        Gen.containerOfN[Array, Double](tree.numFeatures, Gen.choose(-0.5, 1.5)))
+    } yield (tree, x)
+    val prop = Prop.forAll(cases) { case (tree, x) =>
+      val contrib = new Array[Double](tree.numFeatures)
+      val want = bits(ContributionOracle.featureContributions(tree, x))
+      tree.explain(x, contrib) == tree.predict(x) && bits(contrib) == want &&
+        bits(tree.featureContributions(x)) == want
+    }
+    val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(2000), prop)
+    assert(result.passed, result.status.toString)
+  }
+}

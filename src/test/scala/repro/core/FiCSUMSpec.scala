@@ -1,7 +1,9 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.classifier.HoeffdingTree
 import repro.eval.Systems
+import repro.meta.MetaFunctions
 import repro.stream.{Datasets, StaggerConcept, RecurrentStream}
 
 class FiCSUMSpec extends AnyFunSuite {
@@ -150,5 +152,30 @@ class FiCSUMSpec extends AnyFunSuite {
     val f = full(3, 2, seed = 5)
     s.obs.foreach(o => f.step(o.x, o.y))
     assert(f.repositorySize <= 4, s"repo=${f.repositorySize} for 2 true concepts")
+  }
+
+  test("a foreign fingerprint with the shared classifier-free block equals the direct one for every variant") {
+    val aq = Datasets.aqSex.build(1)
+    val d = aq.numFeatures
+    val cfg = FiCSUMConfig().treeConfig
+    // A stored concept's tree grown on the first segments; the window is
+    // labelled by another tree on later data, as in the buffer.
+    val stored = new HoeffdingTree(d, aq.numClasses, cfg, seed = 3)
+    aq.obs.take(1500).foreach(o => stored.train(o.x, o.y))
+    val home = new HoeffdingTree(d, aq.numClasses, cfg, seed = 4)
+    val labelled = aq.obs.slice(1500, 2400).map { o =>
+      val l = home.predict(o.x); home.train(o.x, o.y); Labeled(o.x, o.y, l)
+    }
+    val window = labelled.takeRight(FiCSUMConfig().windowSize)
+    assert(stored.splitEvents >= 1 && window.exists(o => stored.predict(o.x) != o.l))
+    val variants = Seq("FiCSUM", "S-MI", "U-MI", "ER", "fn:Shapley Value") ++
+      MetaFunctions.tableVGroups.map { case (label, _) => s"fn:$label" }
+    for (name <- variants) {
+      val f = Systems.create(name, d, aq.numClasses, 1).asInstanceOf[FiCSUM]
+      val s = new ConceptState(0, f.spec.dim, stored)
+      val got = f.foreignFingerprint(window, s, Fingerprinter.classifierFree(f.spec, window))
+      val want = Fingerprinter.make(f.spec, window.map(o => o.copy(l = stored.predict(o.x))), Some(stored))
+      assert(got.toSeq.map(java.lang.Double.doubleToLongBits) == want.toSeq.map(java.lang.Double.doubleToLongBits), name)
+    }
   }
 }

@@ -147,3 +147,42 @@ class DynamicWeightsSpec extends AnyFunSuite {
     assert(w.forall(_ > 0))
   }
 }
+
+/** `DynamicWeights.compute` against the verbatim collection-based oracle. */
+class DynamicWeightsOracleSpec extends AnyFunSuite {
+  import org.scalacheck.{Gen, Prop, Test => SCTest}
+  import scala.util.Random
+
+  /** A repository of `size` concepts over `dim` dims drawn from `seed`:
+    * stats and scStats counts from 0 to 5 (so some stay below 2), some dims
+    * constant across all rows (zero σ), and a partly trained normalizer.
+    */
+  private def scenario(seed: Long, size: Int): (ConceptState, IndexedSeq[ConceptState], Normalizer) = {
+    val rng = new Random(seed)
+    val dim = 1 + rng.nextInt(6)
+    val constant = Array.fill(dim)(rng.nextInt(3) == 0)
+    def row(): Array[Double] =
+      Array.tabulate(dim)(i => if (constant(i)) 0.25 * i else rng.nextGaussian() * (1 + rng.nextInt(4)))
+    def concept(id: Int): ConceptState = {
+      val c = new ConceptState(id, dim, new HoeffdingTree(2, 2))
+      (0 until rng.nextInt(6)).foreach(_ => c.stats.add(row()))
+      (0 until rng.nextInt(6)).foreach(_ => c.scStats.add(row()))
+      c
+    }
+    val repo = (0 until size).map(concept)
+    val norm = new Normalizer(dim)
+    (0 until rng.nextInt(4)).foreach(_ => norm.update(row()))
+    val active = if (repo.nonEmpty && rng.nextBoolean()) repo(rng.nextInt(size)) else concept(size)
+    (active, repo, norm)
+  }
+
+  test("property: compute equals the oracle bit for bit on repositories of 0 to 13 concepts") {
+    val prop = Prop.forAll(Gen.choose(0L, Long.MaxValue), Gen.oneOf(0, 1, 2, 8, 13)) { (seed, size) =>
+      val (active, repo, norm) = scenario(seed, size)
+      DynamicWeights.compute(active, repo, norm).toSeq.map(java.lang.Double.doubleToLongBits) ==
+        WeightsOracle.compute(active, repo, norm).toSeq.map(java.lang.Double.doubleToLongBits)
+    }
+    val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(1000), prop)
+    assert(result.passed, result.status.toString)
+  }
+}

@@ -51,8 +51,11 @@ class RunnerSpec extends AnyFunSuite {
 /** Outputs-unchanged gate for refactors: κ, C-F1 and discrimination (by bit
   * pattern) and the model count of fixed cells. The first four rows were
   * recorded before the shared meta-information kernel replaced the
-  * per-function closures; the rest (the other variants and the baselines)
-  * before the FiCSUM drift path and `Systems.create` were simplified.
+  * per-function closures; the next seven (the other variants and the
+  * baselines) before the FiCSUM drift path and `Systems.create` were
+  * simplified. The AQSex rows (d=25: naive-Bayes leaves, many stored
+  * concepts, three-sub-window model selection) were recorded before each
+  * fingerprint computation was made to run once per step.
   */
 class GoldenOutcomeSpec extends AnyFunSuite {
   import java.lang.Double.doubleToLongBits
@@ -69,12 +72,17 @@ class GoldenOutcomeSpec extends AnyFunSuite {
     ("ARF", 0x3fedc4ccc057f67bL, 0x3fe0000000000000L, 0x7ff8000000000000L, 1),
     ("fn:Shapley Value", 0x3fd86934d7aad166L, 0x3fdd66628460ce33L, 0x404076f394ff81a9L, 4),
     ("fn:Mean", 0x3fdc7f0848aa3a76L, 0x3fe1dcbc32aaa78fL, 0x401118cfcb9e7acdL, 2),
-  )
+  ).map(("STAGGER", _)) ++ Seq(
+    ("FiCSUM", 0x3fdd1dd75abc2ae3L, 0x3fd692ea317caed8L, 0x402214b49aa87bf2L, 7),
+    ("S-MI", 0x3fe0abd98726f8daL, 0x3fdea0c3fe9be844L, 0x402c641e9b0afebeL, 5),
+    ("U-MI", 0x3fd83df363bd92bdL, 0x3fd244fe2f34a709L, 0x7ff8000000000000L, 2),
+  ).map(("AQSex", _))
 
-  private lazy val stream = Datasets.stagger.build(1)
+  private lazy val streams = Map("STAGGER" -> Datasets.stagger.build(1), "AQSex" -> Datasets.aqSex.build(1))
 
-  for ((system, kappa, cF1, disc, models) <- golden)
-    test(s"STAGGER seed 1 $system outcome is bit-identical to the recorded one") {
+  for ((dataset, (system, kappa, cF1, disc, models)) <- golden)
+    test(s"$dataset seed 1 $system outcome is bit-identical to the recorded one") {
+      val stream = streams(dataset)
       val out = Runner.run(Systems.create(system, stream.numFeatures, stream.numClasses, 1), stream, 1)
       assert((doubleToLongBits(out.kappa), doubleToLongBits(out.cF1),
         doubleToLongBits(out.discrimination), out.numModels) == ((kappa, cF1, disc, models)),

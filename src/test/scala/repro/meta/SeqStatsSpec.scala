@@ -145,6 +145,39 @@ class EmdSpec extends AnyFunSuite {
     val slow = Array.tabulate(200)(i => math.sin(i * 0.05))
     assert(math.abs(imfEntropy(fast, 1) - imfEntropy(slow, 1)) > 1e-3)
   }
+
+  private val finite: Gen[Double] = Gen.choose(-1e3, 1e3)
+  private val cauchy: Gen[Double] = Gen.choose(-0.4999, 0.4999).map(u => math.tan(math.Pi * u))
+  private val special: Gen[Double] =
+    Gen.oneOf(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)
+  private val length: Gen[Int] = Gen.choose(0, 200)
+
+  private def ofLength(n: Gen[Int], v: Gen[Double]): Gen[Array[Double]] =
+    n.flatMap(k => Gen.containerOfN[Array, Double](k, v))
+
+  private val signals: Gen[Array[Double]] = Gen.oneOf(
+    ofLength(length, finite),
+    ofLength(length, Gen.choose(-3, 3).map(_.toDouble)), // ties between neighbours
+    for (n <- length; c <- finite) yield Array.fill(n)(c),
+    for (n <- length; c <- finite; e <- ofLength(Gen.const(n), Gen.choose(-1e-13, 1e-13)))
+      yield e.map(_ + c), // near-constant
+    ofLength(length, cauchy),
+    ofLength(length, Gen.frequency(9 -> finite, 1 -> special)),
+    // A ramp with one kink: envelope segments longer than the weight table.
+    for (n <- Gen.choose(130, 200); k <- Gen.choose(1, 5); bump <- Gen.choose(1.0, 50.0))
+      yield Array.tabulate(n)(i => if (i == k) i + bump else i.toDouble),
+  )
+
+  test("property: sifting equals the verbatim oracle bit for bit") {
+    def bits(a: Array[Double]): Seq[Long] = a.toSeq.map(java.lang.Double.doubleToLongBits)
+    val prop = Prop.forAll(signals, Gen.choose(1, 4)) { (xs, maxSift) =>
+      val (imf, res) = Emd.siftImf(xs, maxSift)
+      val (wantImf, wantRes) = PerFunctionOracle.siftImf(xs, maxSift)
+      bits(imf) == bits(wantImf) && bits(res) == bits(wantRes)
+    }
+    val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(3000), prop)
+    assert(result.passed, result.status.toString)
+  }
 }
 
 class MetaFunctionsSpec extends AnyFunSuite {
