@@ -11,43 +11,36 @@ import repro.eval.StreamSystem
   * tree on drift, and accuracy-weighted majority voting. Like DWM it keeps
   * one evolving ensemble representation (constant model id).
   */
-final class Arf(
-    numFeatures: Int,
-    numClasses: Int,
-    numTrees: Int = 10,
-    lambda: Double = 6.0,
-    adwinDelta: Double = 0.001,
-    treeCfg: HoeffdingTreeConfig = HoeffdingTreeConfig(),
-    seed: Long = 42,
-) extends StreamSystem {
+final class Arf(numFeatures: Int, numClasses: Int, seed: Long = 42) extends StreamSystem {
+  import Arf._
 
   val name = "ARF"
 
   private val subspace = math.ceil(math.sqrt(numFeatures)).toInt + 1
-  private val cfg = treeCfg.copy(featureSubsetSize = math.min(subspace, numFeatures))
+  private val cfg = HoeffdingTreeConfig(featureSubsetSize = math.min(subspace, numFeatures))
   private val rng = new Random(seed)
 
   private final class Member(memberSeed: Long) extends Serializable {
     var tree = new HoeffdingTree(numFeatures, numClasses, cfg, memberSeed)
-    var adwin = new Adwin(adwinDelta)
+    var adwin = new Adwin(AdwinDelta)
     var correct = 1.0
     var seen    = 2.0
     def accWeight: Double = correct / seen
     def reset(newSeed: Long): Unit = {
       tree = new HoeffdingTree(numFeatures, numClasses, cfg, newSeed)
-      adwin = new Adwin(adwinDelta)
+      adwin = new Adwin(AdwinDelta)
       correct = 1.0; seen = 2.0
     }
   }
 
-  private val members = Array.tabulate(numTrees)(t => new Member(seed * 31 + t))
+  private val members = Array.tabulate(NumTrees)(t => new Member(seed * 31 + t))
   private var resets  = 0
 
   var driftCount: Int = 0
 
   /** Poisson(λ) draw via inversion (λ=6 ⇒ cheap). */
   private def poisson(): Int = {
-    val limit = math.exp(-lambda)
+    val limit = math.exp(-Lambda)
     var p = rng.nextDouble()
     var k = 0
     while (p > limit && k < 30) { p *= rng.nextDouble(); k += 1 }
@@ -56,20 +49,19 @@ final class Arf(
 
   def step(x: Array[Double], y: Int): (Int, Int) = {
     val scores = new Array[Double](numClasses)
-    val preds = new Array[Int](numTrees)
+    val preds = new Array[Int](NumTrees)
     var t = 0
-    while (t < numTrees) {
+    while (t < NumTrees) {
       val m = members(t)
       val p = m.tree.predict(x)
       preds(t) = p
       scores(p) += m.accWeight
       t += 1
     }
-    var best = 0; var c = 1
-    while (c < numClasses) { if (scores(c) > scores(best)) best = c; c += 1 }
+    val best = HoeffdingTree.argmax(scores)
 
     t = 0
-    while (t < numTrees) {
+    while (t < NumTrees) {
       val m = members(t)
       val err = if (preds(t) != y) 1.0 else 0.0
       m.seen += 1; if (err == 0) m.correct += 1
@@ -84,4 +76,13 @@ final class Arf(
     }
     (best, 0) // single evolving ensemble representation
   }
+}
+
+object Arf {
+  /** Ensemble size (paper Table VI). */
+  private val NumTrees = 10
+  /** λ of each tree's Poisson(λ) online-bagging weight (Gomes et al. 2017). */
+  private val Lambda = 6.0
+  /** Confidence δ of each tree's error ADWIN. */
+  private val AdwinDelta = 0.001
 }

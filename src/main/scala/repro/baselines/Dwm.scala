@@ -1,33 +1,25 @@
 package repro.baselines
 
 import scala.collection.mutable
-import repro.classifier.{HoeffdingTree, HoeffdingTreeConfig}
+import repro.classifier.HoeffdingTree
 import repro.eval.StreamSystem
 
 /** Dynamic Weighted Majority (Kolter & Maloof 2007; paper Table VI, 10
   * Hoeffding-tree experts). Experts vote weighted; a wrong expert's weight
-  * is multiplied by β every `period` steps, weights below θ prune the
+  * is multiplied by β every `Period` steps, weights below θ prune the
   * expert, and a wrong ensemble prediction adds a fresh expert. DWM keeps
   * one evolving ensemble, so its model id is constant — which is exactly
   * why its C-F1 is capped (paper §II / Table VI).
   */
-final class Dwm(
-    numFeatures: Int,
-    numClasses: Int,
-    maxExperts: Int = 10,
-    beta: Double = 0.5,
-    theta: Double = 0.01,
-    period: Int = 5,
-    treeCfg: HoeffdingTreeConfig = HoeffdingTreeConfig(),
-    seed: Long = 42,
-) extends StreamSystem {
+final class Dwm(numFeatures: Int, numClasses: Int, seed: Long = 42) extends StreamSystem {
+  import Dwm._
 
   val name = "DWM"
 
   private final class Expert(val tree: HoeffdingTree, var weight: Double) extends Serializable
 
   private val experts = mutable.ArrayBuffer(new Expert(
-    new HoeffdingTree(numFeatures, numClasses, treeCfg, seed), 1.0))
+    new HoeffdingTree(numFeatures, numClasses, seed = seed), 1.0))
   private var i = 0L
   private var created = 1
 
@@ -41,32 +33,29 @@ final class Dwm(
       scores(p) += experts(e).weight
       e += 1
     }
-    var best = 0; var c = 1
-    while (c < numClasses) { if (scores(c) > scores(best)) best = c; c += 1 }
-    (best, preds)
+    (HoeffdingTree.argmax(scores), preds)
   }
 
   def step(x: Array[Double], y: Int): (Int, Int) = {
     i += 1
     val (global, preds) = vote(x)
-    val update = i % period == 0
-    if (update) {
+    if (i % Period == 0) {
       var e = 0
       while (e < experts.length) {
-        if (preds(e) != y) experts(e).weight *= beta
+        if (preds(e) != y) experts(e).weight *= Beta
         e += 1
       }
       val mx = experts.map(_.weight).max
       if (mx > 0) experts.foreach(ex => ex.weight /= mx)
-      experts.filterInPlace(_.weight >= theta)
+      experts.filterInPlace(_.weight >= Theta)
       if (experts.isEmpty || global != y) {
-        if (experts.length >= maxExperts) {
+        if (experts.length >= MaxExperts) {
           val worst = experts.minBy(_.weight)
           experts -= worst
         }
         created += 1
         experts += new Expert(
-          new HoeffdingTree(numFeatures, numClasses, treeCfg, seed + created), 1.0)
+          new HoeffdingTree(numFeatures, numClasses, seed = seed + created), 1.0)
       }
     }
     experts.foreach(_.tree.train(x, y))
@@ -74,4 +63,15 @@ final class Dwm(
   }
 
   def numExperts: Int = experts.length
+}
+
+object Dwm {
+  /** Expert cap (paper Table VI); the lowest-weight expert makes room. */
+  private val MaxExperts = 10
+  /** β: multiplicative penalty on a wrong expert's weight. */
+  private val Beta = 0.5
+  /** θ: experts whose normalised weight falls below it are pruned. */
+  private val Theta = 0.01
+  /** Steps between weight updates, pruning and expert creation. */
+  private val Period = 5
 }

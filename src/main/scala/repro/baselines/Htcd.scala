@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.classifier.{HoeffdingTree, HoeffdingTreeConfig}
+import repro.classifier.HoeffdingTree
 import repro.detector.Adwin
 import repro.eval.StreamSystem
 
@@ -8,19 +8,14 @@ import repro.eval.StreamSystem
   * detects drift in the 0/1 error sequence. No repository — every drift
   * starts a fresh model, so each model id covers exactly one segment.
   */
-final class Htcd(
-    numFeatures: Int,
-    numClasses: Int,
-    treeCfg: HoeffdingTreeConfig = HoeffdingTreeConfig(),
-    adwinDelta: Double = 0.002,
-    seed: Long = 42,
-) extends StreamSystem {
+final class Htcd(numFeatures: Int, numClasses: Int, seed: Long = 42) extends StreamSystem {
+  import Htcd.AdwinDelta
 
   val name = "HTCD"
 
   private var modelId = 0
-  private var tree    = new HoeffdingTree(numFeatures, numClasses, treeCfg, seed)
-  private var adwin   = new Adwin(adwinDelta)
+  private var tree    = new HoeffdingTree(numFeatures, numClasses, seed = seed)
+  private var adwin   = new Adwin(AdwinDelta)
 
   var driftCount: Int = 0
 
@@ -30,9 +25,14 @@ final class Htcd(
     if (adwin.add(if (l != y) 1.0 else 0.0)) {
       driftCount += 1
       modelId += 1
-      tree = new HoeffdingTree(numFeatures, numClasses, treeCfg, seed + modelId)
-      adwin = new Adwin(adwinDelta)
+      tree = new HoeffdingTree(numFeatures, numClasses, seed = seed + modelId)
+      adwin = new Adwin(AdwinDelta)
     }
     (l, modelId)
   }
+}
+
+object Htcd {
+  /** Confidence δ of the error ADWIN (the detector's usual default). */
+  private val AdwinDelta = 0.002
 }

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import scala.collection.mutable
-import repro.classifier.{HoeffdingTree, HoeffdingTreeConfig}
+import repro.classifier.HoeffdingTree
 import repro.detector.Eddm
 import repro.eval.StreamSystem
 
@@ -13,14 +13,8 @@ import repro.eval.StreamSystem
   * test — same architecture: supervised detection, unsupervised distribution
   * test for recurrence selection).
   */
-final class Rcd(
-    numFeatures: Int,
-    numClasses: Int,
-    windowSize: Int = 50,
-    ksAlpha: Double = 0.05,
-    treeCfg: HoeffdingTreeConfig = HoeffdingTreeConfig(),
-    seed: Long = 42,
-) extends StreamSystem {
+final class Rcd(numFeatures: Int, numClasses: Int, seed: Long = 42) extends StreamSystem {
+  import Rcd._
 
   val name = "RCD"
 
@@ -29,7 +23,7 @@ final class Rcd(
 
   private val repo = mutable.ArrayBuffer.empty[Stored]
   private var nextId = 0
-  private var tree = new HoeffdingTree(numFeatures, numClasses, treeCfg, seed)
+  private var tree = new HoeffdingTree(numFeatures, numClasses, seed = seed)
   private var activeId = { nextId += 1; 0 }
   private val eddm = new Eddm()
   private val recent = new mutable.ArrayDeque[Array[Double]]()
@@ -78,9 +72,9 @@ final class Rcd(
     val l = tree.predict(x)
     tree.train(x, y)
     recent.append(x)
-    if (recent.length > windowSize) recent.removeHead()
+    if (recent.length > WindowSize) recent.removeHead()
 
-    if (eddm.add(if (l != y) 1.0 else 0.0) && recent.length >= windowSize) {
+    if (eddm.add(if (l != y) 1.0 else 0.0) && recent.length >= WindowSize) {
       driftCount += 1
       val cur = recent.toArray
       // Archive the outgoing model with its window.
@@ -88,7 +82,7 @@ final class Rcd(
       // Look for a stored concept whose feature distribution matches.
       val best = repo.iterator
         .map(s => (s, meanPValue(s.sample, cur)))
-        .filter(_._2 > ksAlpha)
+        .filter(_._2 > KsAlpha)
         .maxByOption(_._2)
       best match {
         case Some((s, _)) =>
@@ -96,9 +90,16 @@ final class Rcd(
           activeId = s.id
         case None =>
           activeId = nextId; nextId += 1
-          tree = new HoeffdingTree(numFeatures, numClasses, treeCfg, seed + activeId)
+          tree = new HoeffdingTree(numFeatures, numClasses, seed = seed + activeId)
       }
     }
     (l, activeId)
   }
+}
+
+object Rcd {
+  /** Recent observations stored with each model and compared on drift. */
+  private val WindowSize = 50
+  /** A stored window matches when its mean per-feature KS p-value exceeds this. */
+  private val KsAlpha = 0.05
 }

@@ -8,11 +8,8 @@ import scala.util.Random
   */
 final case class HoeffdingTreeConfig(
     gracePeriod: Int = 50,
-    splitConfidence: Double = 0.01,
     tieThreshold: Double = 0.05,
-    nbThreshold: Double = 10.0,
     maxDepth: Int = 8,
-    numSplitPoints: Int = 10,
     /** <= 0 means use all features; otherwise each leaf draws a random
       * subset of this size (Adaptive Random Forest subspace).
       */
@@ -38,6 +35,7 @@ final class HoeffdingTree(
     cfg: HoeffdingTreeConfig = HoeffdingTreeConfig(),
     seed: Long = 17,
 ) extends Serializable {
+  import HoeffdingTree._
 
   private val rng = new Random(seed)
 
@@ -95,7 +93,7 @@ final class HoeffdingTree(
     }
 
     def leafProba(x: Array[Double]): Array[Double] =
-      if (totalWeight >= cfg.nbThreshold && nbCorrect >= mcCorrect) nbProba(x) else proba
+      if (totalWeight >= NbThreshold && nbCorrect >= mcCorrect) nbProba(x) else proba
   }
 
   private[classifier] final class Split(
@@ -121,13 +119,7 @@ final class HoeffdingTree(
   }
 
   /** Most probable class for `x`. */
-  def predict(x: Array[Double]): Int = {
-    val p = predictProba(x)
-    var best = 0
-    var i = 1
-    while (i < p.length) { if (p(i) > p(best)) best = i; i += 1 }
-    best
-  }
+  def predict(x: Array[Double]): Int = argmax(predictProba(x))
 
   /** Saabas-style attribution: walking root→leaf, the change in the
     * predicted class's probability at each split is credited to the split
@@ -147,9 +139,7 @@ final class HoeffdingTree(
     var n = root
     while (n.isInstanceOf[Split]) n = n.asInstanceOf[Split].route(x)
     val leafP = n.asInstanceOf[Leaf].leafProba(x)
-    var yHat = 0
-    var i = 1
-    while (i < leafP.length) { if (leafP(i) > leafP(yHat)) yHat = i; i += 1 }
+    val yHat = argmax(leafP)
     n = root
     var pPrev = n.proba(yHat)
     while (n.isInstanceOf[Split]) {
@@ -167,24 +157,22 @@ final class HoeffdingTree(
 
   /** Incorporate one labelled observation with the given weight. */
   def train(x: Array[Double], y: Int, weight: Double = 1.0): Unit = {
+    // The split the leaf hangs from (null at the root), where a split of
+    // the leaf is linked in.
+    var parent: Split = null
     var n = root
     n.classCounts(y) += weight
     while (n.isInstanceOf[Split]) {
-      n = n.asInstanceOf[Split].route(x)
+      parent = n.asInstanceOf[Split]
+      n = parent.route(x)
       n.classCounts(y) += weight
     }
     val leaf = n.asInstanceOf[Leaf]
     // Adaptive NB bookkeeping uses the pre-update prediction.
     val tot = leaf.totalWeight - weight
     if (tot > 0) {
-      var mc = 0; var i = 1
-      while (i < numClasses) { if (leaf.classCounts(i) > leaf.classCounts(mc)) mc = i; i += 1 }
-      if (mc == y) leaf.mcCorrect += weight
-      var nb = 0
-      val nbp = leaf.nbProba(x)
-      i = 1
-      while (i < numClasses) { if (nbp(i) > nbp(nb)) nb = i; i += 1 }
-      if (nb == y) leaf.nbCorrect += weight
+      if (argmax(leaf.classCounts) == y) leaf.mcCorrect += weight
+      if (argmax(leaf.nbProba(x)) == y) leaf.nbCorrect += weight
     }
     var f = 0
     while (f < numFeatures) {
@@ -196,7 +184,7 @@ final class HoeffdingTree(
     leaf.weightSinceEval += weight
     if (leaf.weightSinceEval >= cfg.gracePeriod && leaf.depth < cfg.maxDepth) {
       leaf.weightSinceEval = 0.0
-      attemptSplit(leaf)
+      attemptSplit(leaf, parent)
     }
   }
 
@@ -223,8 +211,8 @@ final class HoeffdingTree(
     var bestGain = 0.0
     var bestThr  = 0.0
     var k = 1
-    while (k <= cfg.numSplitPoints) {
-      val thr = lo + (hi - lo) * k / (cfg.numSplitPoints + 1)
+    while (k <= NumSplitPoints) {
+      val thr = lo + (hi - lo) * k / (NumSplitPoints + 1)
       val lCounts = new Array[Double](numClasses)
       val rCounts = new Array[Double](numClasses)
       var c = 0
@@ -247,7 +235,7 @@ final class HoeffdingTree(
     (bestGain, bestThr)
   }
 
-  private def attemptSplit(leaf: Leaf): Unit = {
+  private def attemptSplit(leaf: Leaf, parent: Split): Unit = {
     val totW = leaf.totalWeight
     if (totW <= 0) return
     // Pure leaf — nothing to gain.
@@ -262,13 +250,13 @@ final class HoeffdingTree(
     }
     if (bestF < 0 || best._1 <= 0) return
     val range = math.log(numClasses.toDouble) / math.log(2.0)
-    val eps = math.sqrt(range * range * math.log(1.0 / cfg.splitConfidence) / (2.0 * totW))
+    val eps = math.sqrt(range * range * math.log(1.0 / SplitConfidence) / (2.0 * totW))
     if (best._1 - math.max(second, 0.0) > eps || eps < cfg.tieThreshold) {
-      doSplit(leaf, bestF, best._2)
+      doSplit(leaf, parent, bestF, best._2)
     }
   }
 
-  private def doSplit(leaf: Leaf, feature: Int, threshold: Double): Unit = {
+  private def doSplit(leaf: Leaf, parent: Split, feature: Int, threshold: Double): Unit = {
     val split = new Split(feature, threshold, new Leaf(leaf.depth + 1), new Leaf(leaf.depth + 1))
     Array.copy(leaf.classCounts, 0, split.classCounts, 0, numClasses)
     // Seed children with the parent's class-conditional mass on each side so
@@ -283,19 +271,28 @@ final class HoeffdingTree(
       }
       c += 1
     }
-    replaceLeaf(leaf, split)
+    if (parent == null) root = split
+    else if (parent.left eq leaf) parent.left = split
+    else parent.right = split
     splitEvents += 1
   }
+}
 
-  private def replaceLeaf(target: Leaf, replacement: Node): Unit = {
-    if (root eq target) { root = replacement; return }
-    def rec(n: Node): Boolean = n match {
-      case s: Split =>
-        if (s.left eq target) { s.left = replacement; true }
-        else if (s.right eq target) { s.right = replacement; true }
-        else rec(s.left) || rec(s.right)
-      case _ => false
-    }
-    rec(root)
+object HoeffdingTree {
+  /** δ: a split needs a gain margin over the runner-up beyond the Hoeffding bound at 1 − δ. */
+  private val SplitConfidence = 0.01
+  /** Leaf weight from which a leaf may answer with naive Bayes. */
+  private[classifier] val NbThreshold = 10.0
+  /** Candidate thresholds per feature, evenly spaced inside the observed range. */
+  private val NumSplitPoints = 10
+
+  /** Index of the first maximum of `xs` (strict `>` from index 0: ties go
+    * to the lowest index, and a NaN at index 0 is never displaced).
+    */
+  def argmax(xs: Array[Double]): Int = {
+    var best = 0
+    var i = 1
+    while (i < xs.length) { if (xs(i) > xs(best)) best = i; i += 1 }
+    best
   }
 }

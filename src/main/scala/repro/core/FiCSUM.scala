@@ -7,7 +7,7 @@ import repro.eval.{Probeable, ProbeResult, StreamSystem}
 
 /** FiCSUM parameters (paper §VI-2). Window/gap defaults are the paper's
   * tuned values scaled to this reproduction's shorter segments: w=50
-  * (paper 75), buffer ratio 0.25, P_C=5 (paper 3), P_S=50 (paper 25).
+  * (paper 75), buffer ratio 0.25, P_C=3 (as in the paper), P_S=50 (paper 25).
   */
 final case class FiCSUMConfig(
     windowSize: Int = 50,

@@ -4,39 +4,33 @@ import scala.collection.mutable.ArrayDeque
 
 /** ADWIN (Bifet & Gavaldà, SDM 2007): adaptive windowing with an
   * exponential-histogram summary. The window of recent values is held as
-  * buckets of exponentially growing width (at most `maxBucketsPerSize`
+  * buckets of exponentially growing width (at most `MaxBucketsPerSize`
   * buckets per width); on each insert, every bucket boundary is tested as a
   * cut point and the head of the window is dropped while any two sub-windows
   * have means that differ by more than the ADWIN bound
   * eps = sqrt(2/m · σ²_W · ln(2/δ')) + (2/3m) · ln(2/δ').
   */
-final class Adwin(delta: Double = 0.002, maxBucketsPerSize: Int = 5) extends Serializable {
+final class Adwin(delta: Double = 0.002) extends Serializable {
+  import Adwin.MaxBucketsPerSize
 
   // Each bucket: (sum, sumSq-derived variance·width, width). Newest at head.
   private final case class Bucket(sum: Double, varTimesW: Double, width: Long)
-  private var buckets = new ArrayDeque[Bucket]() // index 0 = newest
+  private val buckets = new ArrayDeque[Bucket]() // index 0 = newest
   private var totalW  = 0L
   private var totalSum = 0.0
-  private var detectedFlag = false
 
   def width: Long = totalW
   def mean: Double = if (totalW > 0) totalSum / totalW else 0.0
 
-  /** Clear all state. */
-  def reset(): Unit = {
-    buckets = new ArrayDeque[Bucket]()
-    totalW = 0L; totalSum = 0.0; detectedFlag = false
-  }
-
   private def compress(): Unit = {
-    // Merge oldest pair whenever more than maxBucketsPerSize share a width.
+    // Merge oldest pair whenever more than MaxBucketsPerSize share a width.
     var i = 0
     while (i < buckets.length) {
       val w = buckets(i).width
       var j = i
       var cnt = 0
       while (j < buckets.length && buckets(j).width == w) { cnt += 1; j += 1 }
-      if (cnt > maxBucketsPerSize) {
+      if (cnt > MaxBucketsPerSize) {
         // Merge the two *oldest* buckets of this width (indices j-1, j-2).
         val b1 = buckets(j - 1); val b2 = buckets(j - 2)
         val nw = b1.width + b2.width
@@ -68,10 +62,10 @@ final class Adwin(delta: Double = 0.002, maxBucketsPerSize: Int = 5) extends Ser
     totalW += 1
     totalSum += value
     compress()
-    detectedFlag = false
     if (totalW < 10) return false
 
     val variance = windowVariance
+    var detected = false
     var cut = true
     while (cut && buckets.length > 1) {
       cut = false
@@ -94,7 +88,7 @@ final class Adwin(delta: Double = 0.002, maxBucketsPerSize: Int = 5) extends Ser
             val last = buckets.removeLast()
             totalW -= last.width
             totalSum -= last.sum
-            detectedFlag = true
+            detected = true
             cut = true
             done = true
           }
@@ -102,6 +96,11 @@ final class Adwin(delta: Double = 0.002, maxBucketsPerSize: Int = 5) extends Ser
         i -= 1
       }
     }
-    detectedFlag
+    detected
   }
+}
+
+object Adwin {
+  /** Buckets kept per width before the two oldest merge (the histogram's M). */
+  private val MaxBucketsPerSize = 5
 }

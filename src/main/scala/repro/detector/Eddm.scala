@@ -3,15 +3,13 @@ package repro.detector
 /** EDDM (Baena-García et al., 2006): tracks the distance between
   * consecutive classification errors. Under a stable concept the mean
   * distance between errors grows; drift is signalled when the current
-  * (mean + 2·std) of error distances falls below `alpha` times its observed
-  * maximum. (EDDM's warning level is not implemented: no caller reads it.)
+  * (mean + 2·std) of error distances falls below `Alpha` times its
+  * observed maximum. (EDDM's warning level is not implemented: no caller reads it.)
   *
   * Feed 1.0 for an error and 0.0 for a correct prediction.
   */
-final class Eddm(
-    alpha: Double = 0.90,
-    minErrors: Int = 30,
-) extends Serializable {
+final class Eddm extends Serializable {
+  import Eddm._
 
   private var i          = 0L
   private var lastError  = -1L
@@ -38,15 +36,18 @@ final class Eddm(
       m2 += delta * (dist - mean)
     }
     lastError = i
-    if (numErrors < minErrors) return false
+    if (numErrors < MinErrors) return false
     val std   = math.sqrt(math.max(m2 / numErrors, 0.0))
     val level = mean + 2.0 * std
     if (level > maxLevel) maxLevel = level
     val ratio = level / maxLevel
-    if (ratio < alpha) {
-      val detected = true
-      reset()
-      detected
-    } else false
+    if (ratio < Alpha) { reset(); true } else false
   }
+}
+
+object Eddm {
+  /** Drift threshold on (mean + 2·std) relative to its maximum. */
+  private val Alpha = 0.90
+  /** Error distances to collect before a drift can be signalled. */
+  private val MinErrors = 30
 }

@@ -42,9 +42,7 @@ object Systems {
 final case class Cell(dataset: String, system: String, seed: Long) extends Serializable
 
 /** Aggregated (mean, std) of one measure over seeds. */
-final case class Agg(mean: Double, std: Double) {
-  def fmt(p: Int = 2): String = f"%%.${p}f (%%.${p}f)".format(mean, std)
-}
+final case class Agg(mean: Double, std: Double)
 
 /** Runs experiment grids with each cell as one Spark task — the evaluation
   * is embarrassingly parallel over (dataset × system × seed), which is how
@@ -52,14 +50,14 @@ final case class Agg(mean: Double, std: Double) {
   */
 object EvalGrid {
 
-  def run(spark: SparkSession, cells: Seq[Cell], probeEvery: Int = 100): Seq[RunOutcome] = {
+  def run(spark: SparkSession, cells: Seq[Cell]): Seq[RunOutcome] = {
     val sc = spark.sparkContext
     sc.parallelize(cells, cells.length)
       .map { cell =>
         val ds = Datasets.byName(cell.dataset)
         val stream = ds.build(cell.seed)
         val system = Systems.create(cell.system, stream.numFeatures, stream.numClasses, cell.seed)
-        Runner.run(system, stream, cell.seed, probeEvery)
+        Runner.run(system, stream, cell.seed)
       }
       .collect()
       .toSeq

@@ -22,13 +22,12 @@ final case class RunOutcome(
   */
 object Runner {
 
-  def run(
-      system: StreamSystem,
-      stream: GeneratedStream,
-      seed: Long,
-      probeEvery: Int = 100,
-      probeWarmup: Int = 400,
-  ): RunOutcome = {
+  /** Observations between discrimination probes. */
+  private val ProbeEvery = 100
+  /** Index of the first probe. */
+  private val ProbeWarmup = 400
+
+  def run(system: StreamSystem, stream: GeneratedStream, seed: Long): RunOutcome = {
     val n = stream.length
     val preds = new Array[Int](n)
     val models = new Array[Int](n)
@@ -42,7 +41,7 @@ object Runner {
       stepNs += System.nanoTime() - t0
       preds(i) = p
       models(i) = m
-      if (i >= probeWarmup && i % probeEvery == 0) {
+      if (i >= ProbeWarmup && i % ProbeEvery == 0) {
         system match {
           case pr: Probeable => pr.probe().foreach(r => probes += ((stream.conceptIds(i), r)))
           case _             => ()

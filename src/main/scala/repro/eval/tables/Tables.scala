@@ -15,9 +15,7 @@ object Tables {
   /** Seeds per cell (paper: 20; scaled down, std devs still reported). */
   val Seeds: Seq[Long] = Seq(1L, 2L, 3L, 4L, 5L)
 
-  final case class TableResult(text: String, outcomes: Seq[RunOutcome]) {
-    override def toString: String = text
-  }
+  final case class TableResult(text: String, outcomes: Seq[RunOutcome])
 
   private def fmtCell(a: Agg): String = f"${a.mean}%6.2f (${a.std}%5.2f)"
 

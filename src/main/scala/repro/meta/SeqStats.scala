@@ -13,6 +13,8 @@ object SeqStats {
   private val MiSlot = 1 << 8
   private val Imf1Slot = 1 << 10
   private val Imf2Slot = 1 << 11
+  /** Equal-width histogram bins of the MI and IMF-entropy estimates. */
+  private val Bins = 8
 
   /** The 12 Table I values of `xs` in [[MetaFunctions.all]] order (slot i
     * is `all(i)`). `slots` is a bit mask over those indices: groups with no
@@ -84,16 +86,16 @@ object SeqStats {
   /** Lag-1 mutual information (nats) between x_t and x_{t+1}, estimated on
     * an equal-width joint histogram. Captures nonlinear temporal dependence.
     */
-  private[meta] def lagMutualInformation(xs: Array[Double], bins: Int = 8): Double = {
+  private[meta] def lagMutualInformation(xs: Array[Double]): Double = {
     val n = xs.length - 1
     if (n < 4) return 0.0
     var lo = Double.PositiveInfinity; var hi = Double.NegativeInfinity
     var i = 0
     while (i < xs.length) { if (xs(i) < lo) lo = xs(i); if (xs(i) > hi) hi = xs(i); i += 1 }
     if (!(hi > lo)) return 0.0
-    def bin(v: Double): Int = math.min(bins - 1, ((v - lo) / (hi - lo) * bins).toInt)
-    val joint = Array.ofDim[Double](bins, bins)
-    val px = new Array[Double](bins); val py = new Array[Double](bins)
+    def bin(v: Double): Int = math.min(Bins - 1, ((v - lo) / (hi - lo) * Bins).toInt)
+    val joint = Array.ofDim[Double](Bins, Bins)
+    val px = new Array[Double](Bins); val py = new Array[Double](Bins)
     i = 0
     while (i < n) {
       val a = bin(xs(i)); val b = bin(xs(i + 1))
@@ -102,9 +104,9 @@ object SeqStats {
     }
     var mi = 0.0
     var a = 0
-    while (a < bins) {
+    while (a < Bins) {
       var b = 0
-      while (b < bins) {
+      while (b < Bins) {
         val pab = joint(a)(b) / n
         if (pab > 0) mi += pab * math.log(pab * n * n / (px(a) * py(b)))
         b += 1
@@ -115,21 +117,21 @@ object SeqStats {
   }
 
   /** Shannon entropy (nats) of an equal-width histogram of the sequence. */
-  private[meta] def histogramEntropy(xs: Array[Double], bins: Int = 8): Double = {
+  private[meta] def histogramEntropy(xs: Array[Double]): Double = {
     if (xs.length < 2) return 0.0
     var lo = Double.PositiveInfinity; var hi = Double.NegativeInfinity
     var i = 0
     while (i < xs.length) { if (xs(i) < lo) lo = xs(i); if (xs(i) > hi) hi = xs(i); i += 1 }
     if (!(hi > lo)) return 0.0
-    val counts = new Array[Double](bins)
+    val counts = new Array[Double](Bins)
     i = 0
     while (i < xs.length) {
-      counts(math.min(bins - 1, ((xs(i) - lo) / (hi - lo) * bins).toInt)) += 1
+      counts(math.min(Bins - 1, ((xs(i) - lo) / (hi - lo) * Bins).toInt)) += 1
       i += 1
     }
     var h = 0.0
     i = 0
-    while (i < bins) {
+    while (i < Bins) {
       val p = counts(i) / xs.length
       if (p > 0) h -= p * math.log(p)
       i += 1

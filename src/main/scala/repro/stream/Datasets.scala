@@ -58,7 +58,7 @@ object Datasets {
   private def balancedTree(seed: Long, d: Int): RandomTreeConcept = {
     val probe = new scala.util.Random(seed ^ 0x5DEECE66DL)
     Iterator.from(0).map { attempt =>
-      val t = new RandomTreeConcept(seed + attempt * 7717, d, 2, maxDepth = 4)
+      val t = new RandomTreeConcept(seed + attempt * 7717, d, maxDepth = 4)
       val ones = (0 until 300).count(_ => t.label(Array.fill(d)(probe.nextDouble())) == 1)
       (t, math.min(ones, 300 - ones) / 300.0)
     }.collectFirst { case (t, minority) if minority >= 0.2 => t }.get
@@ -77,12 +77,12 @@ object Datasets {
   val stagger: Spec = Spec("STAGGER", 3, 3, 450, 3, _ => (0 until 3).map(StaggerConcept(_)))
 
   val rbf: Spec = Spec("RBF", 10, 6, 450, 3, seed =>
-    (0 until 6).map(c => new RbfConcept(seed * 1000 + c, 10, 2)))
+    (0 until 6).map(c => new RbfConcept(seed * 1000 + c, 10)))
 
   // Shallow trees keep per-segment learnability comparable to the paper's
   // longer segments (their classifiers also accumulate over 9 recurrences).
   val rtree: Spec = Spec("RTREE", 10, 6, 450, 3, seed =>
-    (0 until 6).map(c => new RandomTreeConcept(seed * 1000 + c, 10, 2, maxDepth = 3)))
+    (0 until 6).map(c => new RandomTreeConcept(seed * 1000 + c, 10, maxDepth = 3)))
 
   val hplaneU: Spec = pxDriven("HPLANE-U", d = 10, k = 6, segLen = 450, occ = 3, noise = 0.15, ModSpec.DAF,
     labeller = new HyperplaneConcept(_, _))

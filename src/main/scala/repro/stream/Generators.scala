@@ -33,18 +33,19 @@ trait LabelFunction extends Serializable {
 }
 
 /** A random decision tree labelling function over U(0,1)^d features, in the
-  * spirit of the scikit-multiflow / MOA RandomTree generator. The tree shape,
-  * split features, thresholds and leaf labels are all drawn deterministically
-  * from `seed`.
+  * spirit of the scikit-multiflow / MOA RandomTree generator, with two
+  * classes and no label noise. The tree shape, split features, thresholds
+  * and leaf labels are all drawn deterministically from `seed`; from depth
+  * `MinDepth` on, each branch stops with probability 0.3.
   */
 final class RandomTreeConcept(
     seed: Long,
     val numFeatures: Int,
-    val numClasses: Int = 2,
     maxDepth: Int = 5,
-    minDepth: Int = 2,
-    labelNoise: Double = 0.0,
 ) extends ConceptGenerator with LabelFunction {
+  import RandomTreeConcept.MinDepth
+
+  val numClasses = 2
 
   private sealed trait Node extends Serializable
   private final case class Split(feature: Int, threshold: Double, left: Node, right: Node) extends Node
@@ -53,7 +54,7 @@ final class RandomTreeConcept(
   private val root: Node = {
     val r = new Random(seed)
     def build(depth: Int): Node =
-      if (depth >= maxDepth || (depth >= minDepth && r.nextDouble() < 0.3))
+      if (depth >= maxDepth || (depth >= MinDepth && r.nextDouble() < 0.3))
         Leaf(r.nextInt(numClasses))
       else
         Split(r.nextInt(numFeatures), 0.2 + 0.6 * r.nextDouble(), build(depth + 1), build(depth + 1))
@@ -70,35 +71,44 @@ final class RandomTreeConcept(
 
   def next(rng: Random, t: Int): Observation = {
     val x = Array.fill(numFeatures)(rng.nextDouble())
-    Observation(x, withLabelNoise(rng, classify(root, x), labelNoise))
+    Observation(x, classify(root, x))
   }
 }
 
-/** Radial-basis-function generator: k Gaussian centroids, each with a class
-  * label, weight and spread. An observation samples a centroid by weight and
-  * perturbs its centre, as in the scikit-multiflow RandomRBF generator.
+object RandomTreeConcept {
+  /** Branches shallower than this always split. */
+  private val MinDepth = 2
+}
+
+/** Radial-basis-function generator: `NumCentroids` Gaussian centroids, each
+  * with one of two class labels, a weight and a spread. An observation
+  * samples a centroid by weight and perturbs its centre, as in the
+  * scikit-multiflow RandomRBF generator.
   */
-final class RbfConcept(
-    seed: Long,
-    val numFeatures: Int,
-    val numClasses: Int = 2,
-    numCentroids: Int = 15,
-) extends ConceptGenerator {
+final class RbfConcept(seed: Long, val numFeatures: Int) extends ConceptGenerator {
+  import RbfConcept.NumCentroids
+
+  val numClasses = 2
 
   private val r         = new Random(seed)
-  private val centres   = Array.fill(numCentroids, numFeatures)(r.nextDouble())
-  private val labels    = Array.fill(numCentroids)(r.nextInt(numClasses))
-  private val stdDevs   = Array.fill(numCentroids)(0.02 + 0.08 * r.nextDouble())
-  private val weights   = Array.fill(numCentroids)(r.nextDouble())
+  private val centres   = Array.fill(NumCentroids, numFeatures)(r.nextDouble())
+  private val labels    = Array.fill(NumCentroids)(r.nextInt(numClasses))
+  private val stdDevs   = Array.fill(NumCentroids)(0.02 + 0.08 * r.nextDouble())
+  private val weights   = Array.fill(NumCentroids)(r.nextDouble())
   private val cumW: Array[Double] = weights.scanLeft(0.0)(_ + _).tail.map(_ / weights.sum)
 
   def next(rng: Random, t: Int): Observation = {
     val u = rng.nextDouble()
     var c = 0
-    while (c < numCentroids - 1 && cumW(c) < u) c += 1
+    while (c < NumCentroids - 1 && cumW(c) < u) c += 1
     val x = Array.tabulate(numFeatures)(j => centres(c)(j) + rng.nextGaussian() * stdDevs(c))
     Observation(x, labels(c))
   }
+}
+
+object RbfConcept {
+  /** Centroids per concept. */
+  private val NumCentroids = 15
 }
 
 /** Shared Gaussian clusters with per-context label assignment: the cluster
@@ -113,41 +123,40 @@ final class GaussianMixtureConcept(
     contextSeed: Long,
     val numFeatures: Int,
     val numClasses: Int = 2,
-    numClusters: Int = 8,
     sigma: Double = 0.05,
     labelNoise: Double = 0.0,
 ) extends ConceptGenerator {
+  import GaussianMixtureConcept.NumClusters
 
   private val centres = {
     val r = new Random(datasetSeed)
-    Array.fill(numClusters, numFeatures)(r.nextDouble())
+    Array.fill(NumClusters, numFeatures)(r.nextDouble())
   }
 
   private val labels = {
     val r = new Random(contextSeed)
     // Ensure both/all classes appear: first numClasses clusters get distinct
     // labels, the rest are random.
-    val base = Array.tabulate(numClusters)(c => if (c < numClasses) c else r.nextInt(numClasses))
-    val perm = r.shuffle(base.toVector).toArray
-    perm
+    val base = Array.tabulate(NumClusters)(c => if (c < numClasses) c else r.nextInt(numClasses))
+    r.shuffle(base.toVector).toArray
   }
 
   def next(rng: Random, t: Int): Observation = {
-    val c = rng.nextInt(numClusters)
+    val c = rng.nextInt(NumClusters)
     val x = Array.tabulate(numFeatures)(j => centres(c)(j) + rng.nextGaussian() * sigma)
     Observation(x, withLabelNoise(rng, labels(c), labelNoise))
   }
 }
 
-/** Rotating-hyperplane generator: label = 1 iff w · x > w · 0.5·1. The
-  * weight vector is drawn from `seed`; a per-observation label-noise rate
-  * matches the scikit-multiflow default of 5%.
+object GaussianMixtureConcept {
+  /** Clusters shared by all contexts of a dataset. */
+  private val NumClusters = 8
+}
+
+/** Hyperplane labelling function (HPLANE-U's shared p(y|X)): label = 1 iff
+  * w · x > w · 0.5·1, with the weight vector drawn from `seed`.
   */
-final class HyperplaneConcept(
-    seed: Long,
-    val numFeatures: Int,
-    labelNoise: Double = 0.05,
-) extends ConceptGenerator with LabelFunction {
+final class HyperplaneConcept(seed: Long, numFeatures: Int) extends LabelFunction {
   val numClasses = 2
   private val w      = { val r = new Random(seed); Array.fill(numFeatures)(r.nextDouble() * 2 - 1) }
   private val offset = 0.5 * w.sum
@@ -157,14 +166,5 @@ final class HyperplaneConcept(
     var j = 0
     while (j < numFeatures) { dot += w(j) * x(j); j += 1 }
     if (dot > offset) 1 else 0
-  }
-
-  def next(rng: Random, t: Int): Observation = {
-    val x = Array.fill(numFeatures)(rng.nextDouble())
-    val y0 = label(x)
-    // Two classes: flip without the extra draw `withLabelNoise` would take,
-    // which would shift every later observation of the stream.
-    val y  = if (labelNoise > 0 && rng.nextDouble() < labelNoise) 1 - y0 else y0
-    Observation(x, y)
   }
 }

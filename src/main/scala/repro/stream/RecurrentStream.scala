@@ -16,7 +16,6 @@ final case class GeneratedStream(
 ) extends Serializable {
   require(obs.length == conceptIds.length, "one concept id per observation")
   def length: Int = obs.length
-  def numConcepts: Int = conceptIds.distinct.length
 }
 
 /** Builds recurrent-concept streams: each concept appears `occurrences`

@@ -50,7 +50,7 @@ class BaselinesSpec extends AnyFunSuite {
   }
 
   test("ARF keeps a single evolving representation and adapts") {
-    val a = new Arf(stagger.numFeatures, stagger.numClasses, numTrees = 5, seed = 1)
+    val a = new Arf(stagger.numFeatures, stagger.numClasses, seed = 1)
     val results = stagger.obs.map(o => a.step(o.x, o.y))
     assert(results.forall(_._2 == 0))
     val correct = results.zip(stagger.obs).count { case ((p, _), o) => p == o.y }
@@ -58,14 +58,14 @@ class BaselinesSpec extends AnyFunSuite {
   }
 
   test("ARF per-tree ADWIN resets fire under drift") {
-    val a = new Arf(stagger.numFeatures, stagger.numClasses, numTrees = 5, seed = 1)
+    val a = new Arf(stagger.numFeatures, stagger.numClasses, seed = 1)
     stagger.obs.foreach(o => a.step(o.x, o.y))
     assert(a.driftCount >= 1)
   }
 
   test("all baselines are serializable") {
     val systems: Seq[repro.eval.StreamSystem] = Seq(
-      new Htcd(3, 2), new Rcd(3, 2), new Dwm(3, 2), new Arf(3, 2, numTrees = 3))
+      new Htcd(3, 2), new Rcd(3, 2), new Dwm(3, 2), new Arf(3, 2))
     systems.foreach { s =>
       stagger.obs.take(300).foreach(o => s.step(o.x, o.y))
       val bos = new java.io.ByteArrayOutputStream()

@@ -171,7 +171,7 @@ class ExplainSpec extends AnyFunSuite {
   test("the oracle trees cover naive-Bayes leaves, 3 classes and an unsplit root") {
     val byName = trees.map { case (n, t, _) => n -> t }.toMap
     assert(byName("AQSex").splitEvents >= 3, byName("AQSex").splitEvents)
-    assert(ContributionOracle.naiveBayesLeaves(byName("AQSex"), HoeffdingTreeConfig().nbThreshold) >= 1)
+    assert(ContributionOracle.naiveBayesLeaves(byName("AQSex"), HoeffdingTree.NbThreshold) >= 1)
     assert(byName("CMC").splitEvents >= 1 && byName("3-class").splitEvents >= 1)
     assert(byName("3-class").numClasses == 3)
     assert(byName("unsplit").splitEvents == 0)

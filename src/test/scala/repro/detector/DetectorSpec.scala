@@ -57,13 +57,6 @@ class AdwinSpec extends AnyFunSuite {
     assert(detected > 500 && detected < 1500, s"detected=$detected")
   }
 
-  test("reset clears all state") {
-    val ad = new Adwin()
-    (0 until 100).foreach(i => ad.add(i.toDouble))
-    ad.reset()
-    assert(ad.width == 0 && ad.mean == 0.0)
-  }
-
   test("constant input never triggers") {
     val ad = new Adwin(0.05)
     var any = false

@@ -6,7 +6,7 @@ import repro.meta.MetaFunctions.{Acf1, StdDev}
 
 class ModulationSpec extends AnyFunSuite {
 
-  private val labeler = new RandomTreeConcept(99, 6, 2, maxDepth = 4)
+  private val labeler = new RandomTreeConcept(99, 6, maxDepth = 4)
 
   private def draw(g: ConceptGenerator, n: Int, seed: Long = 5): IndexedSeq[Observation] = {
     val rng = new Random(seed)

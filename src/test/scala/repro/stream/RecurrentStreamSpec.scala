@@ -23,7 +23,7 @@ class RecurrentStreamSpec extends AnyFunSuite {
     val concepts = (0 until 3).map(StaggerConcept(_))
     val s = RecurrentStream.generate("t", concepts, 50, 2, 1)
     assert(s.length == 50 * 2 * 3)
-    assert(s.numConcepts == 3)
+    assert(s.conceptIds.distinct.length == 3)
   }
 
   test("concept ids change exactly at segment boundaries") {
@@ -36,8 +36,8 @@ class RecurrentStreamSpec extends AnyFunSuite {
   }
 
   test("same seed reproduces the identical stream") {
-    val c1 = (0 until 2).map(c => new RandomTreeConcept(c, 5, 2))
-    val c2 = (0 until 2).map(c => new RandomTreeConcept(c, 5, 2))
+    val c1 = (0 until 2).map(c => new RandomTreeConcept(c, 5))
+    val c2 = (0 until 2).map(c => new RandomTreeConcept(c, 5))
     val a = RecurrentStream.generate("t", c1, 30, 2, 7)
     val b = RecurrentStream.generate("t", c2, 30, 2, 7)
     assert(a.conceptIds == b.conceptIds)
@@ -45,7 +45,7 @@ class RecurrentStreamSpec extends AnyFunSuite {
   }
 
   test("mismatched dimensionality is rejected") {
-    val mixed = IndexedSeq(new RandomTreeConcept(1, 5, 2), new RandomTreeConcept(2, 6, 2))
+    val mixed = IndexedSeq(new RandomTreeConcept(1, 5), new RandomTreeConcept(2, 6))
     intercept[IllegalArgumentException](RecurrentStream.generate("t", mixed, 10, 1, 1))
   }
 
@@ -83,7 +83,7 @@ class DatasetsSpec extends AnyFunSuite {
     for (spec <- Datasets.all) {
       val s = spec.build(3)
       assert(s.numFeatures == spec.numFeatures, spec.name)
-      assert(s.numConcepts == spec.numContexts, spec.name)
+      assert(s.conceptIds.distinct.length == spec.numContexts, spec.name)
       assert(s.length == spec.length, spec.name)
     }
   }
