@@ -97,9 +97,8 @@ object Metrics {
     math.sqrt(xs.map(x => (x - m) * (x - m)).sum / xs.length)
   }
 
-  /** Average rank of each method across datasets (1 = best). `higherIsBetter`
-    * applies to the metric values in each row of `table` (dataset → method →
-    * value).
+  /** Average rank of each method across datasets (1 = best, higher values
+    * rank better) over the rows of `table` (dataset → method → value).
     */
   def averageRanks(table: Seq[Map[String, Double]]): Map[String, Double] = {
     require(table.nonEmpty, "need at least one dataset row")

@@ -1,12 +1,13 @@
 package repro.eval.tables
 
-import org.apache.spark.sql.SparkSession
 import repro.eval.{Agg, Cell, EvalGrid, Metrics, RunOutcome}
 import repro.meta.MetaFunctions
 import repro.stream.Datasets
 
-/** Builders for the paper's evaluation tables. Each returns the formatted
-  * table text (printed by benches and jobs) plus the raw aggregates.
+/** The paper's evaluation tables as pure functions of run outcomes. Each
+  * builder formats the table text from the outcomes of its grid; `cells`
+  * is the union of the grids, so one grid run feeds every table, and
+  * `shapeFailures` checks the outcomes against the paper's headline shapes.
   * Paper values are embedded for Tables III/IV/VI so a run prints
   * ours-vs-paper side by side; Table V's paper grid is in EXPERIMENTS.md.
   */
@@ -15,16 +16,10 @@ object Tables {
   /** Seeds per cell (paper: 20; scaled down, std devs still reported). */
   val Seeds: Seq[Long] = Seq(1L, 2L, 3L, 4L, 5L)
 
-  final case class TableResult(text: String, outcomes: Seq[RunOutcome])
-
   private def fmtCell(a: Agg): String = f"${a.mean}%6.2f (${a.std}%5.2f)"
 
-  private def grid(spark: SparkSession, datasets: Seq[String], systems: Seq[String]): Seq[RunOutcome] = {
-    val cells = for {
-      d <- datasets; s <- systems; seed <- Seeds
-    } yield Cell(d, s, seed)
-    EvalGrid.run(spark, cells)
-  }
+  private def grid(datasets: Seq[String], systems: Seq[String]): Seq[Cell] =
+    for (d <- datasets; s <- systems; seed <- Seeds) yield Cell(d, s, seed)
 
   // ------------------------------------------------------------- Table II
 
@@ -45,8 +40,8 @@ object Tables {
   val MainDatasets: Seq[String] = Datasets.all.map(_.name)
   val MainSystems: Seq[String] = Seq("ER", "S-MI", "U-MI", "FiCSUM")
 
-  /** One grid run reused by Tables III and IV. */
-  def mainGrid(spark: SparkSession): Seq[RunOutcome] = grid(spark, MainDatasets, MainSystems)
+  /** The grid Tables III and IV share. */
+  val MainCells: Seq[Cell] = grid(MainDatasets, MainSystems)
 
   private val PaperDisc: Map[String, Seq[Double]] = Map( // ER, S-MI, U-MI, FiCSUM
     "AQSex" -> Seq(140.16, 173.15, 51.11, 190.26),
@@ -93,8 +88,7 @@ object Tables {
   private def clamp500(a: Agg): Agg =
     Agg(math.min(a.mean, 500.0), math.min(a.std, 500.0))
 
-  def tableIII(spark: SparkSession, precomputed: Option[Seq[RunOutcome]] = None): TableResult = {
-    val outcomes = precomputed.getOrElse(mainGrid(spark))
+  def tableIII(outcomes: Seq[RunOutcome]): String = {
     val agg = EvalGrid.aggregate(outcomes, _.discrimination)
     val sb = new StringBuilder
     sb ++= "TABLE III: discrimination ability — ours mean (std) [paper]\n"
@@ -107,11 +101,10 @@ object Tables {
       }
       sb ++= "\n"
     }
-    TableResult(sb.result(), outcomes)
+    sb.result()
   }
 
-  def tableIV(spark: SparkSession, precomputed: Option[Seq[RunOutcome]] = None): TableResult = {
-    val outcomes = precomputed.getOrElse(mainGrid(spark))
+  def tableIV(outcomes: Seq[RunOutcome]): String = {
     val kappa = EvalGrid.aggregate(outcomes, _.kappa)
     val cf1 = EvalGrid.aggregate(outcomes, _.cF1)
     val sb = new StringBuilder
@@ -132,7 +125,7 @@ object Tables {
       val ranks = Metrics.averageRanks(rankRows)
       sb ++= f"${"Avg Rank"}%-10s" + MainSystems.map(s => f"  ${ranks(s)}%5.2f" + " " * 13).mkString + "\n"
     }
-    TableResult(sb.result(), outcomes)
+    sb.result()
   }
 
   // ------------------------------------------------------------- Table V
@@ -141,8 +134,9 @@ object Tables {
   val FnSystems: Seq[String] =
     ("fn:Shapley Value" +: MetaFunctions.tableVGroups.map { case (l, _) => s"fn:$l" }) :+ "FiCSUM"
 
-  def tableV(spark: SparkSession): TableResult = {
-    val outcomes = grid(spark, SynthDatasets, FnSystems)
+  val FnCells: Seq[Cell] = grid(SynthDatasets, FnSystems)
+
+  def tableV(outcomes: Seq[RunOutcome]): String = {
     val kappa = EvalGrid.aggregate(outcomes, _.kappa)
     val cf1 = EvalGrid.aggregate(outcomes, _.cF1)
     val disc = EvalGrid.aggregate(outcomes, _.discrimination)
@@ -161,7 +155,7 @@ object Tables {
         sb ++= "\n"
       }
     }
-    TableResult(sb.result(), outcomes)
+    sb.result()
   }
 
   // ------------------------------------------------------------- Table VI
@@ -188,8 +182,9 @@ object Tables {
     "FiCSUM" -> Seq(0.80, 0.80, 0.71, 0.88, 0.94, 0.83, 0.78, 0.64, 0.96),
   )
 
-  def tableVI(spark: SparkSession): TableResult = {
-    val outcomes = grid(spark, FrameworkDatasets, Frameworks)
+  val FrameworkCells: Seq[Cell] = grid(FrameworkDatasets, Frameworks)
+
+  def tableVI(outcomes: Seq[RunOutcome]): String = {
     val kappa = EvalGrid.aggregate(outcomes, _.kappa)
     val cf1 = EvalGrid.aggregate(outcomes, _.cF1)
     val rt = EvalGrid.aggregate(outcomes, _.runtimeMs.toDouble)
@@ -213,6 +208,76 @@ object Tables {
         sb ++= "\n"
       }
     }
-    TableResult(sb.result(), outcomes)
+    sb.result()
+  }
+
+  // ------------------------------------------------ one grid, shape checks
+
+  /** Every distinct cell of Tables III–VI. Table VI's ER and FiCSUM rows are
+    * cells of the III/IV grid, so one run of these feeds every table.
+    */
+  val cells: Seq[Cell] = (MainCells ++ FnCells ++ FrameworkCells).distinct
+
+  /** The paper's headline shapes, each checked over the outcomes of its own
+    * table's grid. Returns one message per violation; empty when all hold.
+    */
+  def shapeFailures(outcomes: Seq[RunOutcome]): Seq[String] = {
+    def of(grid: Seq[Cell]): Seq[RunOutcome] = {
+      val in = grid.toSet
+      outcomes.filter(o => in(Cell(o.dataset, o.system, o.seed)))
+    }
+    def means(os: Seq[RunOutcome], measure: RunOutcome => Double): Map[(String, String), Double] =
+      os.groupBy(o => (o.dataset, o.system)).view.mapValues(g => g.map(measure).sum / g.size).toMap
+    def check(holds: Boolean, message: => String): Seq[String] = if (holds) Nil else Seq(message)
+    def outside(os: Seq[RunOutcome], what: String, measure: RunOutcome => Double, lo: Double): Seq[String] =
+      os.filterNot(o => measure(o) >= lo && measure(o) <= 1.0).map(o => s"$what outside [$lo, 1.0]: $o")
+
+    val main = of(MainCells)
+    val fn = of(FnCells)
+    val fw = of(FrameworkCells)
+    val kappa = means(main, _.kappa).withDefaultValue(Double.NaN)
+    val cf1 = means(fw, _.cF1).withDefaultValue(Double.NaN)
+
+    // Table III: discrimination is measurable for the fingerprint systems on
+    // most cells (NaN = the system never stored >= 2 concepts anywhere).
+    val measurable = main.count(o => !o.discrimination.isNaN)
+    val tableIII =
+      check(main.size == MainCells.size, s"Table III: ${main.size} of ${MainCells.size} cells") ++
+        check(measurable > main.size / 3, s"Table III: measurable=$measurable")
+
+    // Table IV: U-MI fails on the p(y|X)-drift datasets relative to
+    // supervised MI, and every kappa and C-F1 is a valid value.
+    val tableIV =
+      check(kappa(("AQSex", "U-MI")) < kappa(("AQSex", "ER")),
+        "Table IV: U-MI should underperform ER on AQSex (p(y|X) drift)") ++
+        check(kappa(("STAGGER", "U-MI")) < kappa(("STAGGER", "ER")),
+          "Table IV: U-MI should underperform ER on STAGGER (labelling-function drift)") ++
+        outside(main, "Table IV: kappa", _.kappa, -1.0) ++ outside(main, "Table IV: C-F1", _.cF1, 0.0)
+
+    val tableV =
+      check(fn.size == FnCells.size, s"Table V: ${fn.size} of ${FnCells.size} cells") ++
+        outside(fn, "Table V: C-F1", _.cF1, 0.0)
+
+    // Table VI: ensembles keep one evolving representation, so their C-F1
+    // equals the single-model ceiling exactly (paper's constant rows).
+    val ceilings = for {
+      d <- FrameworkDatasets; s <- Seq("DWM", "ARF")
+      expected = 2.0 / (1.0 + Datasets.byName(d).numContexts)
+      msg <- check(math.abs(cf1((d, s)) - expected) < 1e-9,
+        s"Table VI: $s on $d: ${cf1((d, s))} vs single-model ceiling $expected")
+    } yield msg
+    // HTCD never reuses models: its C-F1 is capped by the per-segment
+    // ceiling 2·(1/occ)/(1+1/occ) = 0.5 at 3 occurrences (0.18 at the
+    // paper's 9 — the gap to FiCSUM is structurally smaller at this scale);
+    // lag-shifted boundaries can push slightly past the exact ceiling.
+    val htcd = cf1(("STAGGER", "HTCD"))
+    // FiCSUM tracks concepts better than the single-representation ensemble
+    // on a meaningful share of datasets.
+    val wins = FrameworkDatasets.count(d => cf1((d, "FiCSUM")) > cf1((d, "ARF")))
+    val tableVI = ceilings ++
+      check(htcd <= 0.6, s"Table VI: HTCD C-F1 on STAGGER $htcd > 0.6") ++
+      check(wins >= 4, s"Table VI: FiCSUM C-F1 beats ARF on only $wins/9 datasets")
+
+    tableIII ++ tableIV ++ tableV ++ tableVI
   }
 }

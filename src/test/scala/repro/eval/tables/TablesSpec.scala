@@ -1,0 +1,83 @@
+package repro.eval.tables
+
+import org.scalatest.funsuite.AnyFunSuite
+import repro.eval.{Cell, RunOutcome}
+import repro.stream.Datasets
+
+class TablesSpec extends AnyFunSuite {
+  import Tables._
+
+  /** A made-up outcome for every cell that meets every shape check. */
+  private val passing: Seq[RunOutcome] = cells.map { case Cell(d, s, seed) =>
+    val cF1 = s match {
+      case "DWM" | "ARF" => 2.0 / (1.0 + Datasets.byName(d).numContexts)
+      case "FiCSUM"      => 0.9
+      case _             => 0.5
+    }
+    RunOutcome(d, s, seed, kappa = if (s == "U-MI") 0.3 else 0.5, cF1 = cF1,
+      discrimination = 1.0, runtimeMs = 1L, numModels = 1)
+  }
+
+  private def failuresWith(select: RunOutcome => Boolean)(change: RunOutcome => RunOutcome): Seq[String] =
+    shapeFailures(passing.map(o => if (select(o)) change(o) else o))
+
+  test("Table II lists the 11 datasets under a two-line header") {
+    assert(tableII().linesIterator.size == 13)
+  }
+
+  test("cells is the distinct union of the Table III/IV, V and VI grids") {
+    assert(cells.distinct == cells)
+    assert(cells.toSet == (MainCells ++ FnCells ++ FrameworkCells).toSet)
+    assert(MainCells.size + FnCells.size + FrameworkCells.size == 875)
+    assert(cells.size == 785) // Table VI's ER and FiCSUM rows are III/IV cells
+  }
+
+  test("every table formats from outcomes alone") {
+    assert(tableIII(passing).linesIterator.size == 13)
+    assert(tableIV(passing).linesIterator.size == 29)
+    assert(tableV(passing).linesIterator.size == 40)
+    assert(tableVI(passing).linesIterator.size == 25)
+  }
+
+  test("an outcome set that meets every shape check has no failure") {
+    assert(shapeFailures(passing).isEmpty)
+  }
+
+  test("ARF's C-F1 off the single-model ceiling by 1e-6 fails the ceiling check") {
+    val failures = failuresWith(o => o.system == "ARF" && o.dataset == "CMC")(o => o.copy(cF1 = o.cF1 + 1e-6))
+    assert(failures.size == 1 && failures.head.startsWith("Table VI: ARF on CMC:"), failures)
+  }
+
+  test("FiCSUM beating ARF's C-F1 on 3 of 9 datasets fails the wins check") {
+    val losing = FrameworkDatasets.drop(3).toSet
+    val failures = failuresWith(o => o.system == "FiCSUM" && losing(o.dataset))(_.copy(cF1 = 0.1))
+    assert(failures == Seq("Table VI: FiCSUM C-F1 beats ARF on only 3/9 datasets"))
+  }
+
+  test("U-MI kappa equal to ER's on AQSex fails the U-MI check") {
+    val failures = failuresWith(o => o.system == "U-MI" && o.dataset == "AQSex")(_.copy(kappa = 0.5))
+    assert(failures == Seq("Table IV: U-MI should underperform ER on AQSex (p(y|X) drift)"))
+  }
+
+  test("one kappa of 1.01 fails the kappa range check") {
+    val failures = failuresWith(_ == passing.find(_.system == "S-MI").get)(_.copy(kappa = 1.01))
+    assert(failures.size == 1 && failures.head.startsWith("Table IV: kappa outside [-1.0, 1.0]"), failures)
+  }
+
+  test("each remaining check, broken alone, returns its own message") {
+    assert(failuresWith(_ => true)(_.copy(discrimination = Double.NaN)) == Seq("Table III: measurable=0"))
+    assert(failuresWith(o => o.system == "U-MI" && o.dataset == "STAGGER")(_.copy(kappa = 0.6)) ==
+      Seq("Table IV: U-MI should underperform ER on STAGGER (labelling-function drift)"))
+    assert(failuresWith(o => o.system == "HTCD" && o.dataset == "STAGGER")(_.copy(cF1 = 0.75)) ==
+      Seq("Table VI: HTCD C-F1 on STAGGER 0.75 > 0.6"))
+    val fnCell = passing.find(_.system == "fn:Mean").get
+    val failures = failuresWith(_ == fnCell)(_.copy(cF1 = 1.01))
+    assert(failures.size == 1 && failures.head.startsWith("Table V: C-F1 outside [0.0, 1.0]"), failures)
+  }
+
+  test("one missing cell fails its table's grid-size check") {
+    def without(cell: Cell) = shapeFailures(passing.filterNot(o => Cell(o.dataset, o.system, o.seed) == cell))
+    assert(without(MainCells.head) == Seq(s"Table III: ${MainCells.size - 1} of ${MainCells.size} cells"))
+    assert(without(FnCells.head) == Seq(s"Table V: ${FnCells.size - 1} of ${FnCells.size} cells"))
+  }
+}
