@@ -34,7 +34,6 @@ final class Arf(numFeatures: Int, numClasses: Int, seed: Long = 42) extends Stre
   }
 
   private val members = Array.tabulate(NumTrees)(t => new Member(seed * 31 + t))
-  private var resets  = 0
 
   var driftCount: Int = 0
 
@@ -67,8 +66,7 @@ final class Arf(numFeatures: Int, numClasses: Int, seed: Long = 42) extends Stre
       m.seen += 1; if (err == 0) m.correct += 1
       if (m.adwin.add(err)) {
         driftCount += 1
-        resets += 1
-        m.reset(seed * 131 + resets)
+        m.reset(seed * 131 + driftCount)
       }
       val k = poisson()
       if (k > 0) m.tree.train(x, y, k.toDouble)

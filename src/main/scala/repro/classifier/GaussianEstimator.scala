@@ -1,8 +1,9 @@
 package repro.classifier
 
-/** Weighted running Gaussian estimate of a single numeric attribute
-  * (mean/variance via Welford's algorithm), as used by Hoeffding-tree
-  * numeric attribute observers.
+/** Weighted running Gaussian estimate of a single numeric value
+  * (mean/variance via Welford's algorithm): the Hoeffding tree's numeric
+  * attribute observers, FiCSUM's normal-similarity record and EDDM's
+  * error-distance statistics. At unit weight it is the plain Welford update.
   */
 final class GaussianEstimator extends Serializable {
   private var w: Double    = 0.0

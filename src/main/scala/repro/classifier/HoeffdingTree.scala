@@ -66,9 +66,11 @@ final class HoeffdingTree(
       if (cfg.featureSubsetSize <= 0 || cfg.featureSubsetSize >= numFeatures) Array.tabulate(numFeatures)(identity)
       else rng.shuffle((0 until numFeatures).toVector).take(cfg.featureSubsetSize).toArray
 
+    /** Naive-Bayes class probabilities. Callers pass a leaf with positive
+      * weight, so some class has a finite log-probability.
+      */
     def nbProba(x: Array[Double]): Array[Double] = {
       val tot = totalWeight
-      if (tot <= 0) return Array.fill(numClasses)(1.0 / numClasses)
       val logp = new Array[Double](numClasses)
       var c = 0
       while (c < numClasses) {
@@ -86,7 +88,6 @@ final class HoeffdingTree(
         c += 1
       }
       val mx = logp.max
-      if (mx == Double.NegativeInfinity) return Array.fill(numClasses)(1.0 / numClasses)
       val exps = logp.map(l => math.exp(l - mx))
       val s = exps.sum
       exps.map(_ / s)
@@ -136,11 +137,9 @@ final class HoeffdingTree(
     * attributions alone) and returns the predicted class.
     */
   def explain(x: Array[Double], contrib: Array[Double]): Int = {
-    var n = root
-    while (n.isInstanceOf[Split]) n = n.asInstanceOf[Split].route(x)
-    val leafP = n.asInstanceOf[Leaf].leafProba(x)
+    val leafP = predictProba(x)
     val yHat = argmax(leafP)
-    n = root
+    var n = root
     var pPrev = n.proba(yHat)
     while (n.isInstanceOf[Split]) {
       val s = n.asInstanceOf[Split]

@@ -39,23 +39,6 @@ final class RunningVec(val dim: Int) extends Serializable {
     }
 }
 
-/** Scalar running mean/std (for the normal-similarity record μ_c, σ_c). */
-final class RunningScalar extends Serializable {
-  private var n  = 0.0
-  private var mu = 0.0
-  private var m2 = 0.0
-
-  def add(v: Double): Unit = {
-    n += 1
-    val d = v - mu
-    mu += d / n
-    m2 += d * (v - mu)
-  }
-  def count: Double = n
-  def mean: Double  = mu
-  def std: Double   = if (n > 1) math.sqrt(math.max(m2 / n, 0.0)) else 0.0
-}
-
 /** Everything the repository stores per concept (paper Alg. 1 line 26):
   * the concept fingerprint, its classifier, the normal-similarity record,
   * plus the F_SC statistics feeding the intra-classifier weight v_sc.
@@ -73,8 +56,8 @@ final class ConceptState(
     */
   val scStats = new RunningVec(dim)
 
-  /** Normal similarity record (μ_c, σ_c). */
-  val simStats = new RunningScalar
+  /** Normal similarity record (μ_c, σ_c), each sample at unit weight. */
+  val simStats = new repro.classifier.GaussianEstimator
 
   /** splitEvents value at the last plasticity reset. */
   var seenSplitEvents: Long = classifier.splitEvents
@@ -119,7 +102,7 @@ final class ConceptState(
 
   def grantBudget(n: Int): Unit = {
     if (openedSinceActivation >= ConceptState.MaxPerActivation) return
-    val grant = math.max(0, n - math.max(openRemaining, 0))
+    val grant = math.max(0, n - openRemaining)
     openRemaining += grant
     openedSinceActivation += grant
   }

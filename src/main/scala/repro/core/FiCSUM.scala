@@ -3,7 +3,7 @@ package repro.core
 import scala.collection.mutable
 import repro.classifier.{HoeffdingTree, HoeffdingTreeConfig}
 import repro.detector.Adwin
-import repro.eval.{Probeable, ProbeResult, StreamSystem}
+import repro.eval.{Metrics, Probeable, ProbeResult, StreamSystem}
 
 /** FiCSUM parameters (paper §VI-2). Window/gap defaults are the paper's
   * tuned values scaled to this reproduction's shorter segments: w=50
@@ -89,13 +89,6 @@ final class FiCSUM(
 
   private def tailWindow: IndexedSeq[Labeled] = buf.takeRight(w).toIndexedSeq
 
-  /** Path attributions of each of `rows` under `tree`, one leaf evaluation
-    * per row; empty when the spec has no Shapley dims.
-    */
-  private def contributions(rows: IndexedSeq[Labeled], tree: HoeffdingTree): IndexedSeq[Array[Double]] =
-    if (!spec.includeShapley) IndexedSeq.empty
-    else rows.map { o => val c = new Array[Double](numFeatures); tree.explain(o.x, c); c }
-
   /** `rows` as concept `s` would see them: s's classifier re-predicts the
     * labels (paper's F_AS / F_SC construction) and, with Shapley dims,
     * attributes each row from the same leaf evaluation.
@@ -141,12 +134,8 @@ final class FiCSUM(
           val fp = Fingerprinter.make(spec, relabeled.slice(o, o + w), contribs.slice(o, o + w), sh)
           simTo(s, fp, ws)
         }
-        val simAvg = sims.sum / sims.length
-        val selfSims = s.sampleFps.map(fp => simTo(s, fp, ws))
-        val selfMu = selfSims.sum / selfSims.length
-        val selfSd = math.sqrt(
-          selfSims.map(v => (v - selfMu) * (v - selfMu)).sum / selfSims.length)
-        (s, simAvg, selfMu, selfSd)
+        val selfSims = s.sampleFps.toSeq.map(fp => simTo(s, fp, ws))
+        (s, Metrics.mean(sims), Metrics.mean(selfSims), Metrics.stdDev(selfSims))
       }
       .toSeq
     // Two-sided acceptance (paper: |Sim − μ_s| ≤ 2σ_s, with a floor), plus
@@ -171,8 +160,8 @@ final class FiCSUM(
       // split while similarity is suppressed usually means the tree is
       // learning an *undetected emerging concept*, and absorbing those
       // windows would poison this concept's representation.
-      val suspicious = active.simStats.count >= 2 && !simEwma.isNaN &&
-        simEwma < active.simStats.mean - 2 * active.simStats.std - 0.05
+      val suspicious = active.simStats.weight >= 2 && !simEwma.isNaN &&
+        simEwma < active.simStats.mean - 2 * active.simStats.stdDev - 0.05
       active.stats.decayDims(spec.classifierDependentDims, 0.3)
       if (!suspicious) active.grantBudget(ConceptState.SplitBudget)
       active.seenSplitEvents = active.classifier.splitEvents
@@ -222,7 +211,7 @@ final class FiCSUM(
       fingerprintUpdates += 1
       // Each buffer row is attributed once; A is the tail window, B the head.
       val rows = buf.toIndexedSeq
-      val contribs = contributions(rows, active.classifier)
+      val contribs = Fingerprinter.contributions(spec, rows, active.classifier)
       val fA = Fingerprinter.make(spec, rows.takeRight(w), contribs.takeRight(w))
       val fB = Fingerprinter.make(spec, rows.take(w), contribs.take(w))
       normalizer.update(fA)
@@ -254,7 +243,7 @@ final class FiCSUM(
       // statistics — and arming before the sample fingerprints are
       // collected would leave early (false) detections without a usable
       // recurrence band, spawning garbage concepts.
-      if (active.frozen && active.stats.totalCount >= 2 && active.simStats.count >= 2) {
+      if (active.frozen && active.stats.totalCount >= 2 && active.simStats.weight >= 2) {
         detectorUpdates += 1
         val simA = simTo(active, fA, weights)
         // EWMA smoothing: consecutive fingerprints overlap by w−P_C
@@ -266,7 +255,7 @@ final class FiCSUM(
         // similarity band is called immediately rather than waiting for
         // ADWIN's conservative bound to catch up — at these segment lengths
         // detection lag directly caps concept-tracking (C-F1).
-        if (simEwma < active.simStats.mean - math.max(3 * active.simStats.std, 0.1))
+        if (simEwma < active.simStats.mean - math.max(3 * active.simStats.stdDev, 0.1))
           breachCount += 1
         else breachCount = 0
         val cut = adwin.add(simEwma)
@@ -318,7 +307,7 @@ final class FiCSUM(
     val sims = usable.map { s =>
       s.id -> simTo(s, foreignFingerprint(win, s, shared), lastWeights)
     }.toMap
-    val sigmas = usable.map(s => s.id -> s.simStats.std).toMap
+    val sigmas = usable.map(s => s.id -> s.simStats.stdDev).toMap
     Some(ProbeResult(sims, sigmas))
   }
 }

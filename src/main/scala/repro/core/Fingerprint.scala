@@ -13,7 +13,15 @@ final case class Labeled(x: Array[Double], y: Int, l: Int) extends Serializable
   * The first d sources are the input features; four supervised sources
   * describe labels, predictions, errors and distances between errors.
   */
-sealed trait Source extends Serializable { def name: String }
+sealed trait Source extends Serializable {
+  def name: String
+
+  /** Features and labels: the same whichever classifier labels the window. */
+  def classifierFree: Boolean = this match {
+    case FeatureSource(_) | LabelSource => true
+    case _                              => false
+  }
+}
 final case class FeatureSource(j: Int) extends Source { def name = s"x$j" }
 case object LabelSource extends Source { def name = "y" }
 case object PredSource extends Source { def name = "l" }
@@ -50,7 +58,7 @@ final case class FingerprintSpec(
     val perSource = for {
       (s, si) <- sources.zipWithIndex
       fi <- functions.indices
-      if s == PredSource || s == ErrorSource || s == ErrorDistSource
+      if !s.classifierFree
     } yield si * functions.length + fi
     val shap =
       if (includeShapley) (sources.length * functions.length until dim) else IndexedSeq.empty
@@ -119,9 +127,15 @@ object Fingerprinter {
     * fingerprint of one window can share them.
     */
   def classifierFree(spec: FingerprintSpec, window: IndexedSeq[Labeled]): Map[Source, Array[Double]] =
-    spec.sources.collect { case s @ (FeatureSource(_) | LabelSource) =>
-      s -> SeqStats.describe(sourceSeq(s, window), spec.slots)
-    }.toMap
+    spec.sources.filter(_.classifierFree)
+      .map(s => s -> SeqStats.describe(sourceSeq(s, window), spec.slots)).toMap
+
+  /** Path attributions of each of `rows` under `tree`, one leaf evaluation
+    * per row; empty when the spec has no Shapley dims.
+    */
+  def contributions(spec: FingerprintSpec, rows: IndexedSeq[Labeled], tree: HoeffdingTree): IndexedSeq[Array[Double]] =
+    if (!spec.includeShapley) IndexedSeq.empty
+    else rows.map { o => val c = new Array[Double](tree.numFeatures); tree.explain(o.x, c); c }
 
   /** Raw (unnormalized) fingerprint of `window`. `classifier` supplies the
     * Shapley (path-attribution) dimensions when the spec includes them.
@@ -130,13 +144,8 @@ object Fingerprinter {
       spec: FingerprintSpec,
       window: IndexedSeq[Labeled],
       classifier: Option[HoeffdingTree],
-  ): Array[Double] = {
-    val contribs = classifier match {
-      case Some(tree) if spec.includeShapley => window.map(o => tree.featureContributions(o.x))
-      case _                                 => IndexedSeq.empty
-    }
-    make(spec, window, contribs)
-  }
+  ): Array[Double] =
+    make(spec, window, classifier.fold(IndexedSeq.empty[Array[Double]])(contributions(spec, window, _)))
 
   /** Raw fingerprint of `window` from precomputed parts: `contribs(i)` are
     * row i's path attributions (empty: no classifier, zero Shapley dims),

@@ -11,10 +11,8 @@ import scala.collection.mutable.ArrayDeque
   * eps = sqrt(2/m · σ²_W · ln(2/δ')) + (2/3m) · ln(2/δ').
   */
 final class Adwin(delta: Double = 0.002) extends Serializable {
-  import Adwin.MaxBucketsPerSize
+  import Adwin.{Bucket, MaxBucketsPerSize}
 
-  // Each bucket: (sum, sumSq-derived variance·width, width). Newest at head.
-  private final case class Bucket(sum: Double, varTimesW: Double, width: Long)
   private val buckets = new ArrayDeque[Bucket]() // index 0 = newest
   private var totalW  = 0L
   private var totalSum = 0.0
@@ -101,6 +99,9 @@ final class Adwin(delta: Double = 0.002) extends Serializable {
 }
 
 object Adwin {
+  /** One histogram bucket: sum, variance·width and width of its values. */
+  private final case class Bucket(sum: Double, varTimesW: Double, width: Long)
+
   /** Buckets kept per width before the two oldest merge (the histogram's M). */
   private val MaxBucketsPerSize = 5
 }

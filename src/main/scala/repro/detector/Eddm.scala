@@ -1,5 +1,7 @@
 package repro.detector
 
+import repro.classifier.GaussianEstimator
+
 /** EDDM (Baena-García et al., 2006): tracks the distance between
   * consecutive classification errors. Under a stable concept the mean
   * distance between errors grows; drift is signalled when the current
@@ -13,32 +15,22 @@ final class Eddm extends Serializable {
 
   private var i          = 0L
   private var lastError  = -1L
-  private var numErrors  = 0
-  private var mean       = 0.0
-  private var m2         = 0.0
+  private var distances  = new GaussianEstimator
   private var maxLevel   = Double.MinValue
 
   /** Clear all state. */
   def reset(): Unit = {
-    i = 0; lastError = -1; numErrors = 0
-    mean = 0.0; m2 = 0.0; maxLevel = Double.MinValue
+    i = 0; lastError = -1; distances = new GaussianEstimator; maxLevel = Double.MinValue
   }
 
   /** Feed one value; returns true iff a drift was detected at this step. */
   def add(value: Double): Boolean = {
     i += 1
     if (value <= 0.5) return false // correct prediction: nothing to update
-    if (lastError >= 0) {
-      val dist = (i - lastError).toDouble
-      numErrors += 1
-      val delta = dist - mean
-      mean += delta / numErrors
-      m2 += delta * (dist - mean)
-    }
+    if (lastError >= 0) distances.add((i - lastError).toDouble)
     lastError = i
-    if (numErrors < MinErrors) return false
-    val std   = math.sqrt(math.max(m2 / numErrors, 0.0))
-    val level = mean + 2.0 * std
+    if (distances.weight < MinErrors) return false
+    val level = distances.mean + 2.0 * distances.stdDev
     if (level > maxLevel) maxLevel = level
     val ratio = level / maxLevel
     if (ratio < Alpha) { reset(); true } else false

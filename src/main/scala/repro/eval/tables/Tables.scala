@@ -227,7 +227,7 @@ object Tables {
       outcomes.filter(o => in(Cell(o.dataset, o.system, o.seed)))
     }
     def means(os: Seq[RunOutcome], measure: RunOutcome => Double): Map[(String, String), Double] =
-      os.groupBy(o => (o.dataset, o.system)).view.mapValues(g => g.map(measure).sum / g.size).toMap
+      EvalGrid.aggregate(os, measure).view.mapValues(_.mean).toMap
     def check(holds: Boolean, message: => String): Seq[String] = if (holds) Nil else Seq(message)
     def outside(os: Seq[RunOutcome], what: String, measure: RunOutcome => Double, lo: Double): Seq[String] =
       os.filterNot(o => measure(o) >= lo && measure(o) <= 1.0).map(o => s"$what outside [$lo, 1.0]: $o")

@@ -43,13 +43,9 @@ final class RandomTreeConcept(
     val numFeatures: Int,
     maxDepth: Int = 5,
 ) extends ConceptGenerator with LabelFunction {
-  import RandomTreeConcept.MinDepth
+  import RandomTreeConcept.{Leaf, MinDepth, Node, Split}
 
   val numClasses = 2
-
-  private sealed trait Node extends Serializable
-  private final case class Split(feature: Int, threshold: Double, left: Node, right: Node) extends Node
-  private final case class Leaf(label: Int) extends Node
 
   private val root: Node = {
     val r = new Random(seed)
@@ -78,6 +74,10 @@ final class RandomTreeConcept(
 object RandomTreeConcept {
   /** Branches shallower than this always split. */
   private val MinDepth = 2
+
+  private sealed trait Node extends Serializable
+  private final case class Split(feature: Int, threshold: Double, left: Node, right: Node) extends Node
+  private final case class Leaf(label: Int) extends Node
 }
 
 /** Radial-basis-function generator: `NumCentroids` Gaussian centroids, each

@@ -44,7 +44,7 @@ object RecurrentStream {
             val leftOk  = j == 0 || arr(j - 1) != arr(i)
             val rightOk = j == arr.length - 1 || arr(j + 1) != arr(i)
             if (arr(j) != arr(i) && leftOk && rightOk &&
-                (i == 0 || arr(j) != arr(i - 1)) && (i == arr.length - 1 || arr(j) != arr(i + 1))) {
+                arr(j) != arr(i - 1) && (i == arr.length - 1 || arr(j) != arr(i + 1))) {
               val tmp = arr(i); arr(i) = arr(j); arr(j) = tmp
               swapped = true; changed = true
             }

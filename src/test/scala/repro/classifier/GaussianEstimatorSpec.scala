@@ -3,7 +3,41 @@ package repro.classifier
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 
+/** The scalar running mean/σ that `GaussianEstimator` at unit weight
+  * replaced (FiCSUM's normal-similarity record and EDDM's error
+  * distances), kept verbatim as the test oracle.
+  */
+final class RunningScalarOracle {
+  private var n  = 0.0
+  private var mu = 0.0
+  private var m2 = 0.0
+
+  def add(v: Double): Unit = {
+    n += 1
+    val d = v - mu
+    mu += d / n
+    m2 += d * (v - mu)
+  }
+  def count: Double = n
+  def mean: Double  = mu
+  def std: Double   = if (n > 1) math.sqrt(math.max(m2 / n, 0.0)) else 0.0
+}
+
 class GaussianEstimatorSpec extends AnyFunSuite {
+
+  test("property: at unit weight, count, mean and sigma equal the scalar Welford update bit for bit") {
+    val seqs = Gen.choose(0, 200).flatMap(n => Gen.listOfN(n, Gen.choose(-1e3, 1e3)))
+    val prop = Prop.forAll(seqs) { xs =>
+      val est = new GaussianEstimator
+      val ref = new RunningScalarOracle
+      def same(a: Double, b: Double) = java.lang.Double.doubleToRawLongBits(a) == java.lang.Double.doubleToRawLongBits(b)
+      def agree = est.weight == ref.count && same(est.mean, ref.mean) && same(est.stdDev, ref.std)
+      // Compared before the first add and after every add.
+      agree && xs.forall { x => est.add(x); ref.add(x); agree }
+    }
+    val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(200), prop)
+    assert(result.passed, result.status.toString)
+  }
 
   test("mean and variance match direct computation") {
     val xs = Seq(1.0, 2.0, 3.0, 4.0, 10.0)

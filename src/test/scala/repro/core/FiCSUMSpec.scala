@@ -41,7 +41,7 @@ class FiCSUMSpec extends AnyFunSuite {
     val f = full(3, 2, seed = 4)
     val rng = new scala.util.Random(5)
     val gen = StaggerConcept(1)
-    (0 until 2000).foreach(t => f.step(gen.next(rng, t).x, gen.next(rng, t).y))
+    (0 until 2000).foreach { t => val o = gen.next(rng, t); f.step(o.x, o.y) }
     assert(f.driftCount <= 2, s"drifts on stationary stream: ${f.driftCount}")
   }
 

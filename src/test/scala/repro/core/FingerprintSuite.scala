@@ -35,6 +35,14 @@ class FingerprintSpecSuite extends AnyFunSuite {
       n.startsWith("l:") || n.startsWith("err:") || n.startsWith("errdist:") || n.startsWith("shapley:")))
     // 3 sources * 12 functions + 2 shapley dims
     assert(names.length == 3 * 12 + 2)
+    // Each source is either shared across classifiers or classifier-dependent.
+    val free = Fingerprinter.classifierFree(spec, window).keySet
+    val dependent = spec.classifierDependentDims.toSet
+    for ((s, si) <- spec.sources.zipWithIndex) {
+      val dims = spec.functions.indices.map(si * spec.functions.length + _)
+      assert(dims.forall(dependent) != free(s), s"${s.name} is in both sets or in neither")
+      assert(dims.forall(dependent) || !dims.exists(dependent), s"${s.name} is split across the sets")
+    }
   }
 
   private val window = IndexedSeq(
@@ -125,14 +133,6 @@ class RunningVecSpec extends AnyFunSuite {
     assert(rv.mean(0) == m)
     assert(math.abs(rv.std(0) - s) < 1e-9)
     assert(math.abs(rv.count(0) - c * 0.3) < 1e-9)
-  }
-
-  test("RunningScalar mean/std") {
-    val rs = new RunningScalar
-    assert(rs.count == 0 && rs.mean == 0.0 && rs.std == 0.0)
-    Seq(1.0, 2.0, 3.0).foreach(rs.add)
-    assert(rs.mean == 2.0 && rs.count == 3)
-    assert(math.abs(rs.std - math.sqrt(2.0 / 3)) < 1e-9)
   }
 
   test("ConceptState budget mechanics") {
