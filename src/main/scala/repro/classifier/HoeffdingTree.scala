@@ -66,23 +66,51 @@ final class HoeffdingTree(
       if (cfg.featureSubsetSize <= 0 || cfg.featureSubsetSize >= numFeatures) Array.tabulate(numFeatures)(identity)
       else rng.shuffle((0 until numFeatures).toVector).take(cfg.featureSubsetSize).toArray
 
+    // The likelihood terms log(max(pdf, 1e-12)) of the last nbProba call,
+    // class-major, a copy of the row they were computed for, and which
+    // classes they cover. They stay valid while the observers do: train
+    // clears them before it changes any. Not serialized.
+    @transient private var terms: Array[Double] = null
+    @transient private var termsRow: Array[Double] = null
+    @transient private var termsCover: Array[Boolean] = null
+
+    /** Forget the cached likelihood terms (the observers are about to change). */
+    def clearTerms(): Unit = if (termsCover != null) java.util.Arrays.fill(termsCover, false)
+
     /** Naive-Bayes class probabilities. Callers pass a leaf with positive
-      * weight, so some class has a finite log-probability.
+      * weight, so some class has a finite log-probability. The likelihood
+      * terms of a row evaluated since the observers last changed are
+      * reused; each class's sum adds the same terms in the same order.
       */
     def nbProba(x: Array[Double]): Array[Double] = {
+      if (termsRow == null) {
+        terms = new Array[Double](numClasses * numFeatures)
+        termsRow = new Array[Double](numFeatures)
+        termsCover = new Array[Boolean](numClasses)
+      }
+      if (!sameBits(termsRow, x)) {
+        System.arraycopy(x, 0, termsRow, 0, numFeatures)
+        clearTerms()
+      }
       val tot = totalWeight
       val logp = new Array[Double](numClasses)
       var c = 0
       while (c < numClasses) {
         if (classCounts(c) <= 0) logp(c) = Double.NegativeInfinity
         else {
+          val fresh = !termsCover(c)
+          val base = c * numFeatures
           var lp = math.log(classCounts(c) / tot)
           var f = 0
           while (f < numFeatures) {
             val est = observers(f)(c)
-            if (est.weight > 0) lp += math.log(math.max(est.pdf(x(f)), 1e-12))
+            if (est.weight > 0) {
+              if (fresh) terms(base + f) = math.log(math.max(est.pdf(x(f)), 1e-12))
+              lp += terms(base + f)
+            }
             f += 1
           }
+          termsCover(c) = true
           logp(c) = lp
         }
         c += 1
@@ -167,12 +195,16 @@ final class HoeffdingTree(
       n.classCounts(y) += weight
     }
     val leaf = n.asInstanceOf[Leaf]
-    // Adaptive NB bookkeeping uses the pre-update prediction.
+    // Adaptive NB bookkeeping, scored when the leaf held weight before this
+    // row. Both scores read the class counts that already include it (MOA's
+    // LearningNodeNBAdaptive scores before counting); the observers are
+    // still those `predict` saw, so nbProba reuses its likelihood terms.
     val tot = leaf.totalWeight - weight
     if (tot > 0) {
       if (argmax(leaf.classCounts) == y) leaf.mcCorrect += weight
       if (argmax(leaf.nbProba(x)) == y) leaf.nbCorrect += weight
     }
+    leaf.clearTerms()
     var f = 0
     while (f < numFeatures) {
       leaf.observers(f)(y).add(x(f), weight)
@@ -284,6 +316,16 @@ object HoeffdingTree {
   private[classifier] val NbThreshold = 10.0
   /** Candidate thresholds per feature, evenly spaced inside the observed range. */
   private val NumSplitPoints = 10
+
+  /** Whether `a` and `b` hold the same bits in `a`'s positions. */
+  private def sameBits(a: Array[Double], b: Array[Double]): Boolean = {
+    var i = 0
+    while (i < a.length) {
+      if (java.lang.Double.doubleToRawLongBits(a(i)) != java.lang.Double.doubleToRawLongBits(b(i))) return false
+      i += 1
+    }
+    true
+  }
 
   /** Index of the first maximum of `xs` (strict `>` from index 0: ties go
     * to the lowest index, and a NaN at index 0 is never displaced).

@@ -131,10 +131,12 @@ object Fingerprinter {
       .map(s => s -> SeqStats.describe(sourceSeq(s, window), spec.slots)).toMap
 
   /** Path attributions of each of `rows` under `tree`, one leaf evaluation
-    * per row; empty when the spec has no Shapley dims.
+    * per row. Empty when the spec has no Shapley dims, and when the tree has
+    * not split: a root leaf attributes +0.0 to every feature, which is what
+    * [[make]] puts in the Shapley dims for no attributions.
     */
   def contributions(spec: FingerprintSpec, rows: IndexedSeq[Labeled], tree: HoeffdingTree): IndexedSeq[Array[Double]] =
-    if (!spec.includeShapley) IndexedSeq.empty
+    if (!spec.includeShapley || tree.splitEvents == 0) IndexedSeq.empty
     else rows.map { o => val c = new Array[Double](tree.numFeatures); tree.explain(o.x, c); c }
 
   /** Raw (unnormalized) fingerprint of `window`. `classifier` supplies the

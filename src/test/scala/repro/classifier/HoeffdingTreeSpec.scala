@@ -137,6 +137,79 @@ class HoeffdingTreeSpec extends AnyFunSuite {
     assert(copy.predict(x) == tree.predict(x))
     assert(copy.predictProba(x).toSeq == tree.predictProba(x).toSeq)
   }
+
+  private def bits(a: Array[Double]): Seq[Long] = a.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
+  private def serialized(t: HoeffdingTree): Array[Byte] = {
+    val bos = new java.io.ByteArrayOutputStream()
+    val out = new java.io.ObjectOutputStream(bos)
+    out.writeObject(t)
+    out.close()
+    bos.toByteArray
+  }
+
+  private def roundTrip(t: HoeffdingTree): HoeffdingTree =
+    new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(serialized(t)))
+      .readObject().asInstanceOf[HoeffdingTree]
+
+  test("property: train after predict leaves the tree that train alone does, bit for bit") {
+    import org.scalacheck.{Gen, Prop, Test => SCTest}
+    // Twin trees see the same weighted rows. `reusing` predicts each row
+    // before training on it, so train reuses predict's likelihood terms;
+    // `fresh` only trains (and explains other rows), so its terms never
+    // match the row it trains on. Some rows are mutated in place between
+    // predict and train, and `reusing` sometimes makes a Java round trip
+    // there, which empties its terms. Some rows repeat earlier ones, and
+    // some are evaluated again after training, as FiCSUM's buffer is.
+    val cases = for {
+      k <- Gen.oneOf(2, 3)
+      d <- Gen.choose(1, 4)
+      subset <- Gen.oneOf(-1, 1)
+      n <- Gen.choose(50, 600)
+      seed <- Gen.choose(0L, Long.MaxValue)
+    } yield (k, d, subset, n, seed)
+    var nbRows = 0
+    var splitTrees = 0
+    val prop = Prop.forAll(cases) { case (k, d, subset, n, seed) =>
+      val rng = new Random(seed)
+      val cfg = HoeffdingTreeConfig(gracePeriod = 20, featureSubsetSize = subset)
+      var reusing = new HoeffdingTree(d, k, cfg, seed = 3)
+      val fresh = new HoeffdingTree(d, k, cfg, seed = 3)
+      def draw(): Array[Double] = Array.fill(d)(rng.nextDouble())
+      val seen = scala.collection.mutable.ArrayBuffer.empty[Array[Double]]
+      val rowsOk = (0 until n).forall { i =>
+        val x = if (seen.nonEmpty && rng.nextInt(10) == 0) seen(rng.nextInt(seen.length)).clone() else draw()
+        // A threshold concept on x0 that shifts halfway, with 10 % noise.
+        val clean = math.min(k - 1, (x(0) * k).toInt)
+        val y = if (rng.nextDouble() < 0.1) rng.nextInt(k) else (clean + (if (i < n / 2) 0 else 1)) % k
+        val w = (1 + rng.nextInt(6)).toDouble
+        if (NbOracle.usesNb(NbOracle.leaf(fresh, x))) nbRows += 1
+        val want = bits(NbOracle.predictProba(fresh, x))
+        var ok = bits(reusing.predictProba(x)) == want
+        rng.nextInt(20) match {
+          case 0 => x(rng.nextInt(d)) = rng.nextDouble()
+          case 1 => reusing = roundTrip(reusing)
+          case 2 | 3 | 4 =>
+            val z = draw()
+            val (cr, cf) = (new Array[Double](d), new Array[Double](d))
+            ok &&= reusing.explain(z, cr) == fresh.explain(z, cf) && bits(cr) == bits(cf)
+          case _ =>
+        }
+        reusing.train(x, y, w)
+        fresh.train(x, y, w)
+        seen += x.clone()
+        if (rng.nextInt(4) == 0) ok &&= bits(reusing.predictProba(x)) == bits(NbOracle.predictProba(fresh, x))
+        ok
+      }
+      if (fresh.splitEvents > 0) splitTrees += 1
+      val later = (0 until 50).map(_ => draw())
+      rowsOk && later.forall(x => bits(reusing.predictProba(x)) == bits(fresh.predictProba(x))) &&
+        java.util.Arrays.equals(serialized(reusing), serialized(fresh))
+    }
+    val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(200), prop)
+    assert(result.passed, result.status.toString)
+    assert(nbRows >= 10000 && splitTrees >= 50, s"naive-Bayes rows $nbRows, trees that split $splitTrees")
+  }
 }
 
 /** `explain` against the verbatim two-pass attribution oracle, bit for bit. */
@@ -166,6 +239,25 @@ class ExplainSpec extends AnyFunSuite {
     val (flatTree, flatRows) = grown(8, 3, three.take(40))
     IndexedSeq(("AQSex", aqTree, aqRows), ("CMC", cmcTree, cmcRows),
       ("3-class", threeTree, threeRows), ("unsplit", flatTree, flatRows))
+  }
+
+  test("an unsplit tree attributes no rows, and make gives the bits of zero attributions") {
+    import repro.core.{FingerprintSpec, Fingerprinter, Labeled}
+    val byName = trees.map { case (n, t, rows) => n -> (t, rows) }.toMap
+    val (flat, flatRows) = byName("unsplit")
+    val spec = FingerprintSpec.full(flat.numFeatures)
+    val window = flatRows.zipWithIndex.map { case (x, i) => Labeled(x, i % 3, flat.predict(x)) }
+    val zeros = window.map(_ => new Array[Double](flat.numFeatures))
+    // A root leaf's path attributions are +0.0 for every feature.
+    assert(window.forall(o => bits(ContributionOracle.featureContributions(flat, o.x)) == bits(zeros.head)))
+    assert(Fingerprinter.contributions(spec, window, flat).isEmpty)
+    val want = bits(Fingerprinter.make(spec, window, zeros))
+    assert(bits(Fingerprinter.make(spec, window, IndexedSeq.empty)) == want)
+    assert(bits(Fingerprinter.make(spec, window, Some(flat))) == want)
+    // A split tree still attributes every row.
+    val (aq, aqRows) = byName("AQSex")
+    val aqWindow = aqRows.take(50).map(x => Labeled(x, 0, aq.predict(x)))
+    assert(Fingerprinter.contributions(FingerprintSpec.full(aq.numFeatures), aqWindow, aq).length == 50)
   }
 
   test("the oracle trees cover naive-Bayes leaves, 3 classes and an unsplit root") {

@@ -63,6 +63,39 @@ class AdwinSpec extends AnyFunSuite {
     (0 until 1000).foreach(_ => any |= ad.add(0.7))
     assert(!any)
   }
+
+  test("property: add's flag, width and mean equal the oracle's bit for bit after every add") {
+    import org.scalacheck.{Gen, Prop, Test => SCTest}
+    // Piecewise-stationary streams: 0/1 errors at each segment's rate under
+    // ARF's and HTCD's δ, or values in [0, 1] around each segment's level
+    // under FiCSUM's δ = 0.8.
+    val cases = for {
+      binary <- Gen.oneOf(true, false)
+      delta <- if (binary) Gen.oneOf(0.001, 0.002) else Gen.const(0.8)
+      levels <- Gen.listOfN(4, Gen.choose(0.0, 1.0))
+      n <- Gen.choose(0, 3000)
+      seed <- Gen.choose(0L, Long.MaxValue)
+    } yield (binary, delta, levels.toIndexedSeq, n, seed)
+    var detections = 0
+    val prop = Prop.forAll(cases) { case (binary, delta, levels, n, seed) =>
+      val rng = new Random(seed)
+      val ad = new Adwin(delta)
+      val oracle = new AdwinOracle(delta)
+      (0 until n).forall { i =>
+        val level = levels(i * levels.length / n)
+        val v =
+          if (binary) (if (rng.nextDouble() < level) 1.0 else 0.0)
+          else math.min(1.0, math.max(0.0, level + rng.nextGaussian() * 0.1))
+        val flag = ad.add(v)
+        if (flag) detections += 1
+        flag == oracle.add(v) && ad.width == oracle.width &&
+          java.lang.Double.doubleToRawLongBits(ad.mean) == java.lang.Double.doubleToRawLongBits(oracle.mean)
+      }
+    }
+    val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(result.passed, result.status.toString)
+    assert(detections >= 100, s"only $detections detections: the streams barely exercise the cut path")
+  }
 }
 
 class EddmSpec extends AnyFunSuite {
