@@ -14,7 +14,6 @@ object PaperTables {
     val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("paper-tables")
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.ui.enabled", "false")
       .getOrCreate()
     val (outcomes, wallS) = try {

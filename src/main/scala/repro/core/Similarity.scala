@@ -63,7 +63,7 @@ object Similarity {
       dev(i) = d * d
       i += 1
     }
-    // Aggregate over the top ~1/8 most-deviating dimensions (min 1): a
+    // Aggregate over the top ⌈n/16⌉ (at least 1) most-deviating dimensions: a
     // concept drift moves a handful of meta-features by many σ while the
     // rest stay put, so a uniform mean would dilute the signal by the
     // fingerprint dimensionality. Restricting to the largest weighted

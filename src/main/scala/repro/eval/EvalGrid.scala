@@ -63,14 +63,17 @@ object EvalGrid {
       .toSeq
   }
 
+  /** Mean and σ of `measure` per (dataset, system) over its non-NaN
+    * values. A pair with none, or with no outcome at all, reads
+    * `Agg(NaN, NaN)`: that is the map's default value.
+    */
   def aggregate(outcomes: Seq[RunOutcome], measure: RunOutcome => Double): Map[(String, String), Agg] =
     outcomes
-      .groupBy(o => (o.dataset, o.system))
+      .map(o => ((o.dataset, o.system), measure(o)))
+      .filterNot(_._2.isNaN)
+      .groupMap(_._1)(_._2)
       .view
-      .mapValues { os =>
-        val vals = os.map(measure).filterNot(_.isNaN)
-        if (vals.isEmpty) Agg(Double.NaN, Double.NaN)
-        else Agg(Metrics.mean(vals), Metrics.stdDev(vals))
-      }
+      .mapValues(vals => Agg(Metrics.mean(vals), Metrics.stdDev(vals)))
       .toMap
+      .withDefaultValue(Agg(Double.NaN, Double.NaN))
 }

@@ -99,13 +99,18 @@ object Metrics {
 
   /** Average rank of each method across datasets (1 = best, higher values
     * rank better) over the rows of `table` (dataset → method → value).
+    * Tied methods share the mean of the ranks they span (Demšar 2006,
+    * §3.2.2). Values are ordered by `java.lang.Double.compare` of their
+    * negations, so NaN ranks last and ties with NaN.
     */
   def averageRanks(table: Seq[Map[String, Double]]): Map[String, Double] = {
     require(table.nonEmpty, "need at least one dataset row")
     val methods = table.head.keys.toSeq
     val ranks = table.map { row =>
-      val sorted = methods.sortBy(m => -row(m))
-      sorted.zipWithIndex.map { case (m, i) => m -> (i + 1).toDouble }.toMap
+      methods.map { m =>
+        val cmp = methods.map(o => java.lang.Double.compare(-row(o), -row(m)))
+        m -> (cmp.count(_ < 0) + (cmp.count(_ == 0) + 1) / 2.0)
+      }.toMap
     }
     methods.map(m => m -> ranks.map(_(m)).sum / ranks.length).toMap
   }

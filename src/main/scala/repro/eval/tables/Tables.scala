@@ -16,23 +16,28 @@ object Tables {
   /** Seeds per cell (paper: 20; scaled down, std devs still reported). */
   val Seeds: Seq[Long] = Seq(1L, 2L, 3L, 4L, 5L)
 
-  private def fmtCell(a: Agg): String = f"${a.mean}%6.2f (${a.std}%5.2f)"
-
   private def grid(datasets: Seq[String], systems: Seq[String]): Seq[Cell] =
     for (d <- datasets; s <- systems; seed <- Seeds) yield Cell(d, s, seed)
+
+  /** The one table renderer: a header line (`corner`, then the formatted
+    * column `heads`), then one line per row (its label, then its formatted
+    * cells), every label left-aligned in `labelWidth`.
+    */
+  private def render(corner: String, labelWidth: Int, heads: Seq[String])(rows: Seq[(String, Seq[String])]): String =
+    ((corner -> heads) +: rows).map { case (label, cells) =>
+      label.padTo(labelWidth, ' ') + cells.mkString + "\n"
+    }.mkString
 
   // ------------------------------------------------------------- Table II
 
   def tableII(): String = {
-    val sb = new StringBuilder
-    sb ++= "TABLE II: dataset characteristics (paper length -> scaled length)\n"
-    sb ++= f"${"Dataset"}%-10s ${"Length"}%8s ${"#feat"}%6s ${"#ctx"}%5s   paperLen\n"
     val paperLen = Map("AQTemp" -> 24000, "AQSex" -> 24000, "Arabic" -> 8800, "CMC" -> 1473,
       "QG" -> 4010, "UCI-Wine" -> 6498, "RBF" -> 30000, "RTREE" -> 30000, "STAGGER" -> 30000,
       "HPLANE-U" -> 30000, "RTREE-U" -> 30000)
-    for (ds <- Datasets.all)
-      sb ++= f"${ds.name}%-10s ${ds.length}%8d ${ds.numFeatures}%6d ${ds.numContexts}%5d   ${paperLen(ds.name)}%8d\n"
-    sb.result()
+    "TABLE II: dataset characteristics (paper length -> scaled length)\n" +
+      render("Dataset", 10, Seq(f" ${"Length"}%8s", f" ${"#feat"}%6s", f" ${"#ctx"}%5s", "   paperLen"))(
+        Datasets.all.map(ds => ds.name -> Seq(f" ${ds.length}%8d", f" ${ds.numFeatures}%6d",
+          f" ${ds.numContexts}%5d", f"   ${paperLen(ds.name)}%8d")))
   }
 
   // ------------------------------------- Tables III & IV (shared 11x4 grid)
@@ -89,44 +94,27 @@ object Tables {
     Agg(math.min(a.mean, 500.0), math.min(a.std, 500.0))
 
   def tableIII(outcomes: Seq[RunOutcome]): String = {
-    val agg = EvalGrid.aggregate(outcomes, _.discrimination)
-    val sb = new StringBuilder
-    sb ++= "TABLE III: discrimination ability — ours mean (std) [paper]\n"
-    sb ++= f"${"Dataset"}%-10s" + MainSystems.map(s => f"$s%22s").mkString + "\n"
-    for (d <- MainDatasets) {
-      sb ++= f"$d%-10s"
-      for ((s, i) <- MainSystems.zipWithIndex) {
-        val a = clamp500(agg.getOrElse((d, s), Agg(Double.NaN, Double.NaN)))
-        sb ++= f"${fmtCell(a)} [${PaperDisc(d)(i)}%7.2f]"
-      }
-      sb ++= "\n"
-    }
-    sb.result()
+    val disc = EvalGrid.aggregate(outcomes, _.discrimination)
+    "TABLE III: discrimination ability — ours mean (std) [paper]\n" +
+      render("Dataset", 10, MainSystems.map(s => f"$s%22s"))(MainDatasets.map(d =>
+        d -> MainSystems.zipWithIndex.map { case (s, i) =>
+          val a = clamp500(disc((d, s)))
+          f"${a.mean}%6.2f (${a.std}%5.2f) [${PaperDisc(d)(i)}%7.2f]"
+        }))
   }
 
-  def tableIV(outcomes: Seq[RunOutcome]): String = {
-    val kappa = EvalGrid.aggregate(outcomes, _.kappa)
-    val cf1 = EvalGrid.aggregate(outcomes, _.cF1)
-    val sb = new StringBuilder
-    sb ++= "TABLE IV: kappa and C-F1 — ours mean (std) [paper]\n"
-    for ((label, agg, paper) <- Seq(("kappa", kappa, PaperKappa), ("C-F1", cf1, PaperCF1))) {
-      sb ++= s"-- $label --\n"
-      sb ++= f"${"Dataset"}%-10s" + MainSystems.map(s => f"$s%20s").mkString + "\n"
-      for (d <- MainDatasets) {
-        sb ++= f"$d%-10s"
-        for ((s, i) <- MainSystems.zipWithIndex) {
-          val a = agg.getOrElse((d, s), Agg(Double.NaN, Double.NaN))
-          sb ++= f"  ${a.mean}%5.2f (${a.std}%4.2f) [${paper(d)(i)}%4.2f]"
-        }
-        sb ++= "\n"
-      }
-      val rankRows = MainDatasets.map(d => MainSystems.map(s =>
-        s -> agg.getOrElse((d, s), Agg(Double.NaN, Double.NaN)).mean).toMap)
-      val ranks = Metrics.averageRanks(rankRows)
-      sb ++= f"${"Avg Rank"}%-10s" + MainSystems.map(s => f"  ${ranks(s)}%5.2f" + " " * 13).mkString + "\n"
-    }
-    sb.result()
-  }
+  def tableIV(outcomes: Seq[RunOutcome]): String =
+    "TABLE IV: kappa and C-F1 — ours mean (std) [paper]\n" + Seq(
+      ("kappa", EvalGrid.aggregate(outcomes, _.kappa), PaperKappa),
+      ("C-F1", EvalGrid.aggregate(outcomes, _.cF1), PaperCF1),
+    ).map { case (label, agg, paper) =>
+      val ranks = Metrics.averageRanks(MainDatasets.map(d => MainSystems.map(s => s -> agg((d, s)).mean).toMap))
+      s"-- $label --\n" + render("Dataset", 10, MainSystems.map(s => f"$s%20s"))(
+        MainDatasets.map(d => d -> MainSystems.zipWithIndex.map { case (s, i) =>
+          val a = agg((d, s))
+          f"  ${a.mean}%5.2f (${a.std}%4.2f) [${paper(d)(i)}%4.2f]"
+        }) :+ ("Avg Rank" -> MainSystems.map(s => f"  ${ranks(s)}%5.2f" + " " * 13)))
+    }.mkString
 
   // ------------------------------------------------------------- Table V
 
@@ -136,27 +124,18 @@ object Tables {
 
   val FnCells: Seq[Cell] = grid(SynthDatasets, FnSystems)
 
-  def tableV(outcomes: Seq[RunOutcome]): String = {
-    val kappa = EvalGrid.aggregate(outcomes, _.kappa)
-    val cf1 = EvalGrid.aggregate(outcomes, _.cF1)
-    val disc = EvalGrid.aggregate(outcomes, _.discrimination)
-    val sb = new StringBuilder
-    sb ++= "TABLE V: per-meta-information-function performance under induced drift (ours)\n"
-    for ((label, agg) <- Seq(("kappa", kappa), ("C-F1", cf1), ("discrimination", disc))) {
-      sb ++= s"-- $label --\n"
-      sb ++= f"${"Function"}%-26s" + SynthDatasets.map(d => f"${d.stripPrefix("Synth_")}%15s").mkString + "\n"
-      for (s <- FnSystems) {
-        sb ++= f"${s.stripPrefix("fn:")}%-26s"
-        for (d <- SynthDatasets) {
-          val a0 = agg.getOrElse((d, s), Agg(Double.NaN, Double.NaN))
-          val a = if (label == "discrimination") clamp500(a0) else a0
-          sb ++= f"  ${a.mean}%5.2f (${a.std}%4.2f)"
-        }
-        sb ++= "\n"
-      }
-    }
-    sb.result()
-  }
+  def tableV(outcomes: Seq[RunOutcome]): String =
+    "TABLE V: per-meta-information-function performance under induced drift (ours)\n" + Seq(
+      ("kappa", EvalGrid.aggregate(outcomes, _.kappa)),
+      ("C-F1", EvalGrid.aggregate(outcomes, _.cF1)),
+      ("discrimination", EvalGrid.aggregate(outcomes, _.discrimination).andThen(clamp500 _)),
+    ).map { case (label, agg) =>
+      s"-- $label --\n" + render("Function", 26, SynthDatasets.map(d => f"${d.stripPrefix("Synth_")}%15s"))(
+        FnSystems.map(s => s.stripPrefix("fn:") -> SynthDatasets.map { d =>
+          val a = agg((d, s))
+          f"  ${a.mean}%5.2f (${a.std}%4.2f)"
+        }))
+    }.mkString
 
   // ------------------------------------------------------------- Table VI
 
@@ -184,32 +163,22 @@ object Tables {
 
   val FrameworkCells: Seq[Cell] = grid(FrameworkDatasets, Frameworks)
 
-  def tableVI(outcomes: Seq[RunOutcome]): String = {
-    val kappa = EvalGrid.aggregate(outcomes, _.kappa)
-    val cf1 = EvalGrid.aggregate(outcomes, _.cF1)
-    val rt = EvalGrid.aggregate(outcomes, _.runtimeMs.toDouble)
-    val sb = new StringBuilder
-    sb ++= "TABLE VI: framework comparison — ours mean (std) [paper]\n"
-    for ((label, agg, paper) <- Seq(
-        ("kappa", kappa, Some(PaperVIKappa)),
-        ("C-F1", cf1, Some(PaperVICF1)),
-        ("runtime (ms, ours only; paper used s on their testbed)", rt, None))) {
-      sb ++= s"-- $label --\n"
-      sb ++= f"${"Framework"}%-10s" + FrameworkDatasets.map(d => f"$d%16s").mkString + "\n"
-      for (s <- Frameworks) {
-        sb ++= f"$s%-10s"
-        for ((d, i) <- FrameworkDatasets.zipWithIndex) {
-          val a = agg.getOrElse((d, s), Agg(Double.NaN, Double.NaN))
+  def tableVI(outcomes: Seq[RunOutcome]): String =
+    "TABLE VI: framework comparison — ours mean (std) [paper]\n" + Seq(
+      ("kappa", EvalGrid.aggregate(outcomes, _.kappa), Some(PaperVIKappa)),
+      ("C-F1", EvalGrid.aggregate(outcomes, _.cF1), Some(PaperVICF1)),
+      ("runtime (ms, ours only; paper used s on their testbed)",
+        EvalGrid.aggregate(outcomes, _.runtimeMs.toDouble), None),
+    ).map { case (label, agg, paper) =>
+      s"-- $label --\n" + render("Framework", 10, FrameworkDatasets.map(d => f"$d%16s"))(
+        Frameworks.map(s => s -> FrameworkDatasets.zipWithIndex.map { case (d, i) =>
+          val a = agg((d, s))
           paper match {
-            case Some(p) => sb ++= f" ${a.mean}%5.2f(${a.std}%4.2f)[${p(s)(i)}%4.2f]"
-            case None    => sb ++= f" ${a.mean}%9.0f(${a.std}%5.0f)"
+            case Some(p) => f" ${a.mean}%5.2f(${a.std}%4.2f)[${p(s)(i)}%4.2f]"
+            case None    => f" ${a.mean}%9.0f(${a.std}%5.0f)"
           }
-        }
-        sb ++= "\n"
-      }
-    }
-    sb.result()
-  }
+        }))
+    }.mkString
 
   // ------------------------------------------------ one grid, shape checks
 

@@ -5,11 +5,14 @@ package repro.meta
   *
   * Simplification vs the textbook algorithm (documented in DESIGN.md §4):
   * envelopes are linear interpolations between local extrema rather than
-  * cubic splines, and sifting is capped at `maxSift` passes. The IMFs are
+  * cubic splines, and sifting is capped at [[MaxSift]] passes. The IMFs are
   * only consumed as discriminative scalars (histogram entropy), for which
   * the oscillatory content extracted by linear-envelope sifting suffices.
   */
 object Emd {
+
+  /** Sifting passes per IMF. */
+  private val MaxSift = 4
 
   /** Longest envelope segment whose interpolation weights are tabulated;
     * behaviour-source windows are shorter than this.
@@ -71,7 +74,7 @@ object Emd {
     * 0, the interior maxima (minima), then n − 1. The buffers are allocated
     * once per call: sifting ping-pongs between `h` and `next`.
     */
-  def siftImf(xs: Array[Double], maxSift: Int = 4): (Array[Double], Array[Double]) = {
+  def siftImf(xs: Array[Double]): (Array[Double], Array[Double]) = {
     val n = xs.length
     var h = xs.clone()
     var next = new Array[Double](n)
@@ -80,7 +83,7 @@ object Emd {
     val minIdx = new Array[Int](n + 2)
     var pass = 0
     var ok = true
-    while (pass < maxSift && ok) {
+    while (pass < MaxSift && ok) {
       var nMax = 1; var nMin = 1
       var i = 1
       while (i < n - 1) {

@@ -83,35 +83,46 @@ object SeqStats {
     out
   }
 
+  /** Counts on the equal-width [[Bins]]-bin grid over the range of `xs`,
+    * row-major Bins × Bins: entry a·Bins + b counts the i with
+    * bin(x_i) = a and bin(x_{i+lag}) = b, for lag 0 (the histogram of `xs`,
+    * on the diagonal) or 1. Empty when `xs` has no range (constant input).
+    * The bin of v is min(Bins − 1, ⌊(v − lo) / (hi − lo) · Bins⌋).
+    */
+  private def binCounts(xs: Array[Double], lag: Int): Array[Double] = {
+    var lo = Double.PositiveInfinity; var hi = Double.NegativeInfinity
+    var i = 0
+    while (i < xs.length) { if (xs(i) < lo) lo = xs(i); if (xs(i) > hi) hi = xs(i); i += 1 }
+    if (!(hi > lo)) return Array.emptyDoubleArray
+    val counts = new Array[Double](Bins * Bins)
+    var prev = 0
+    i = 0
+    while (i < xs.length) {
+      val b = math.min(Bins - 1, ((xs(i) - lo) / (hi - lo) * Bins).toInt)
+      if (i >= lag) counts((if (lag == 0) b else prev) * Bins + b) += 1
+      prev = b
+      i += 1
+    }
+    counts
+  }
+
   /** Lag-1 mutual information (nats) between x_t and x_{t+1}, estimated on
     * an equal-width joint histogram. Captures nonlinear temporal dependence.
     */
   private[meta] def lagMutualInformation(xs: Array[Double]): Double = {
     val n = xs.length - 1
     if (n < 4) return 0.0
-    var lo = Double.PositiveInfinity; var hi = Double.NegativeInfinity
-    var i = 0
-    while (i < xs.length) { if (xs(i) < lo) lo = xs(i); if (xs(i) > hi) hi = xs(i); i += 1 }
-    if (!(hi > lo)) return 0.0
-    def bin(v: Double): Int = math.min(Bins - 1, ((v - lo) / (hi - lo) * Bins).toInt)
-    val joint = Array.ofDim[Double](Bins, Bins)
+    val joint = binCounts(xs, 1)
+    if (joint.isEmpty) return 0.0
     val px = new Array[Double](Bins); val py = new Array[Double](Bins)
-    i = 0
-    while (i < n) {
-      val a = bin(xs(i)); val b = bin(xs(i + 1))
-      joint(a)(b) += 1.0; px(a) += 1.0; py(b) += 1.0
-      i += 1
-    }
+    var k = 0
+    while (k < joint.length) { px(k / Bins) += joint(k); py(k % Bins) += joint(k); k += 1 }
     var mi = 0.0
-    var a = 0
-    while (a < Bins) {
-      var b = 0
-      while (b < Bins) {
-        val pab = joint(a)(b) / n
-        if (pab > 0) mi += pab * math.log(pab * n * n / (px(a) * py(b)))
-        b += 1
-      }
-      a += 1
+    k = 0
+    while (k < joint.length) {
+      val pab = joint(k) / n
+      if (pab > 0) mi += pab * math.log(pab * n * n / (px(k / Bins) * py(k % Bins)))
+      k += 1
     }
     math.max(mi, 0.0)
   }
@@ -119,22 +130,13 @@ object SeqStats {
   /** Shannon entropy (nats) of an equal-width histogram of the sequence. */
   private[meta] def histogramEntropy(xs: Array[Double]): Double = {
     if (xs.length < 2) return 0.0
-    var lo = Double.PositiveInfinity; var hi = Double.NegativeInfinity
-    var i = 0
-    while (i < xs.length) { if (xs(i) < lo) lo = xs(i); if (xs(i) > hi) hi = xs(i); i += 1 }
-    if (!(hi > lo)) return 0.0
-    val counts = new Array[Double](Bins)
-    i = 0
-    while (i < xs.length) {
-      counts(math.min(Bins - 1, ((xs(i) - lo) / (hi - lo) * Bins).toInt)) += 1
-      i += 1
-    }
+    val counts = binCounts(xs, 0)
     var h = 0.0
-    i = 0
-    while (i < Bins) {
-      val p = counts(i) / xs.length
+    var k = 0
+    while (k < counts.length) {
+      val p = counts(k) / xs.length
       if (p > 0) h -= p * math.log(p)
-      i += 1
+      k += Bins + 1
     }
     h
   }

@@ -93,6 +93,15 @@ class MetricsSpec extends AnyFunSuite {
     assert(ranks("a") == 1.5 && ranks("b") == 1.5 && ranks("c") == 3.0)
   }
 
+  test("averageRanks gives tied methods the mean of the ranks they span") {
+    assert(averageRanks(Seq(Map("a" -> 0.5, "b" -> 0.5, "c" -> 0.1))) == Map("a" -> 1.5, "b" -> 1.5, "c" -> 3.0))
+    assert(averageRanks(Seq(Map("a" -> 0.7, "b" -> 0.7, "c" -> 0.9, "d" -> 0.7))) ==
+      Map("a" -> 3.0, "b" -> 3.0, "c" -> 1.0, "d" -> 3.0))
+    // NaN ranks last and ties with NaN.
+    assert(averageRanks(Seq(Map("a" -> Double.NaN, "b" -> 0.2, "c" -> Double.NaN))) ==
+      Map("a" -> 2.5, "b" -> 1.0, "c" -> 2.5))
+  }
+
   test("mean and stdDev helpers") {
     assert(mean(Seq(1.0, 2.0, 3.0)) == 2.0)
     assert(mean(Seq.empty).isNaN)

@@ -75,6 +75,21 @@ class TablesSpec extends AnyFunSuite {
     assert(failures.size == 1 && failures.head.startsWith("Table V: C-F1 outside [0.0, 1.0]"), failures)
   }
 
+  test("the rendered text of Tables II–VI is pinned by its SHA-256") {
+    // Distinct values per cell; some discriminations NaN or above the 500
+    // clamp; no outcome at all for (QG, U-MI), which reads as NaN cells.
+    val rng = new scala.util.Random(9)
+    val outcomes = cells.filterNot(c => c.dataset == "QG" && c.system == "U-MI").map { case Cell(d, s, seed) =>
+      val disc = if (rng.nextInt(10) == 0) Double.NaN else rng.nextDouble() * 1000
+      RunOutcome(d, s, seed, kappa = rng.nextDouble() * 2 - 1, cF1 = rng.nextDouble(),
+        discrimination = disc, runtimeMs = rng.nextInt(100000).toLong, numModels = 1)
+    }
+    val text = Seq(tableII(), tableIII(outcomes), tableIV(outcomes), tableV(outcomes), tableVI(outcomes)).mkString
+    val sha = java.security.MessageDigest.getInstance("SHA-256")
+      .digest(text.getBytes(java.nio.charset.StandardCharsets.UTF_8)).map(b => f"$b%02x").mkString
+    assert(sha == "0b0f62299143ce927eecc81245a6ed39bc1a9496b079dd5aa7093428a07c621b")
+  }
+
   test("one missing cell fails its table's grid-size check") {
     def without(cell: Cell) = shapeFailures(passing.filterNot(o => Cell(o.dataset, o.system, o.seed) == cell))
     assert(without(MainCells.head) == Seq(s"Table III: ${MainCells.size - 1} of ${MainCells.size} cells"))

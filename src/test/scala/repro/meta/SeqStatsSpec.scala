@@ -170,9 +170,9 @@ class EmdSpec extends AnyFunSuite {
 
   test("property: sifting equals the verbatim oracle bit for bit") {
     def bits(a: Array[Double]): Seq[Long] = a.toSeq.map(java.lang.Double.doubleToLongBits)
-    val prop = Prop.forAll(signals, Gen.choose(1, 4)) { (xs, maxSift) =>
-      val (imf, res) = Emd.siftImf(xs, maxSift)
-      val (wantImf, wantRes) = PerFunctionOracle.siftImf(xs, maxSift)
+    val prop = Prop.forAll(signals) { xs =>
+      val (imf, res) = Emd.siftImf(xs)
+      val (wantImf, wantRes) = PerFunctionOracle.siftImf(xs, 4)
       bits(imf) == bits(wantImf) && bits(res) == bits(wantRes)
     }
     val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(3000), prop)
