@@ -9,6 +9,8 @@ final class GaussianEstimator extends Serializable {
   private var w: Double    = 0.0
   private var mu: Double   = 0.0
   private var m2: Double   = 0.0
+  // max(stdDev, 1e-6), the σ that pdf and cdf use; it changes only in add.
+  private var sd: Double   = 1e-6
 
   def weight: Double = w
   def mean: Double   = mu
@@ -21,13 +23,13 @@ final class GaussianEstimator extends Serializable {
     val delta = v - mu
     mu += delta * weight / w
     m2 += weight * delta * (v - mu)
+    sd = math.max(stdDev, 1e-6)
   }
 
   /** Gaussian density at `v`; degenerates to a narrow spike when the
     * observed variance is ~0 (all values identical so far).
     */
   def pdf(v: Double): Double = {
-    val sd = math.max(stdDev, 1e-6)
     val z  = (v - mu) / sd
     math.exp(-0.5 * z * z) / (sd * math.sqrt(2 * math.Pi))
   }
@@ -35,7 +37,6 @@ final class GaussianEstimator extends Serializable {
   /** P(attribute <= v) under the fitted Gaussian. */
   def cdf(v: Double): Double = {
     if (w <= 0) return 0.5
-    val sd = math.max(stdDev, 1e-6)
     0.5 * (1.0 + erf((v - mu) / (sd * math.sqrt(2.0))))
   }
 

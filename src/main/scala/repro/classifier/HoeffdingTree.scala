@@ -115,10 +115,17 @@ final class HoeffdingTree(
         }
         c += 1
       }
-      val mx = logp.max
-      val exps = logp.map(l => math.exp(l - mx))
-      val s = exps.sum
-      exps.map(_ / s)
+      // Softmax in place: the maximum under logp.max's total ordering, then
+      // exp, then a left-to-right sum from element 0, then the division.
+      var mx = logp(0)
+      c = 1
+      while (c < numClasses) { if (java.lang.Double.compare(mx, logp(c)) < 0) mx = logp(c); c += 1 }
+      c = 0
+      while (c < numClasses) { logp(c) = math.exp(logp(c) - mx); c += 1 }
+      val s = sum(logp)
+      c = 0
+      while (c < numClasses) { logp(c) /= s; c += 1 }
+      logp
     }
 
     def leafProba(x: Array[Double]): Array[Double] =
@@ -219,51 +226,46 @@ final class HoeffdingTree(
     }
   }
 
-  private def entropy(counts: Array[Double]): Double = {
-    var tot = 0.0; var i = 0
-    while (i < counts.length) { tot += counts(i); i += 1 }
-    if (tot <= 0) return 0.0
-    var h = 0.0
-    i = 0
-    while (i < counts.length) {
-      val p = counts(i) / tot
-      if (p > 1e-12) h -= p * math.log(p) / math.log(2)
-      i += 1
-    }
-    h
-  }
+  /** The split search of one attempt at `leaf`, whose total weight is
+    * `totW`: the leaf's entropy, computed once, and two class-count buffers
+    * that every candidate threshold of every feature reuses.
+    */
+  private[classifier] final class SplitSearch(leaf: Leaf, totW: Double) {
+    private val hParent = entropy(leaf.classCounts)
+    private val lCounts = new Array[Double](numClasses)
+    private val rCounts = new Array[Double](numClasses)
 
-  /** Best (gain, threshold) for one feature via the class Gaussians. */
-  private def bestSplitForFeature(leaf: Leaf, f: Int): (Double, Double) = {
-    val lo = leaf.mins(f); val hi = leaf.maxs(f)
-    if (!(hi > lo)) return (0.0, 0.0)
-    val hParent = entropy(leaf.classCounts)
-    val totW = leaf.totalWeight
-    var bestGain = 0.0
-    var bestThr  = 0.0
-    var k = 1
-    while (k <= NumSplitPoints) {
-      val thr = lo + (hi - lo) * k / (NumSplitPoints + 1)
-      val lCounts = new Array[Double](numClasses)
-      val rCounts = new Array[Double](numClasses)
-      var c = 0
-      while (c < numClasses) {
-        val w = leaf.classCounts(c)
-        if (w > 0) {
-          val pl = leaf.observers(f)(c).cdf(thr)
-          lCounts(c) = w * pl
-          rCounts(c) = w * (1 - pl)
+    /** Best (gain, threshold) for feature `f` via the class Gaussians. */
+    def best(f: Int): (Double, Double) = {
+      val lo = leaf.mins(f); val hi = leaf.maxs(f)
+      if (!(hi > lo)) return (0.0, 0.0)
+      var bestGain = 0.0
+      var bestThr  = 0.0
+      var k = 1
+      while (k <= NumSplitPoints) {
+        val thr = lo + (hi - lo) * k / (NumSplitPoints + 1)
+        var c = 0
+        while (c < numClasses) {
+          val w = leaf.classCounts(c)
+          if (w > 0) {
+            val pl = leaf.observers(f)(c).cdf(thr)
+            lCounts(c) = w * pl
+            rCounts(c) = w * (1 - pl)
+          } else {
+            lCounts(c) = 0.0
+            rCounts(c) = 0.0
+          }
+          c += 1
         }
-        c += 1
+        val wl = sum(lCounts); val wr = sum(rCounts)
+        if (wl > 1e-9 && wr > 1e-9) {
+          val gain = hParent - (wl / totW) * entropy(lCounts) - (wr / totW) * entropy(rCounts)
+          if (gain > bestGain) { bestGain = gain; bestThr = thr }
+        }
+        k += 1
       }
-      val wl = lCounts.sum; val wr = rCounts.sum
-      if (wl > 1e-9 && wr > 1e-9) {
-        val gain = hParent - (wl / totW) * entropy(lCounts) - (wr / totW) * entropy(rCounts)
-        if (gain > bestGain) { bestGain = gain; bestThr = thr }
-      }
-      k += 1
+      (bestGain, bestThr)
     }
-    (bestGain, bestThr)
   }
 
   private def attemptSplit(leaf: Leaf, parent: Split): Unit = {
@@ -272,18 +274,19 @@ final class HoeffdingTree(
     // Pure leaf — nothing to gain.
     if (leaf.classCounts.count(_ > 0) <= 1) return
 
-    var best = (-1.0, 0.0); var bestF = -1
+    val search = new SplitSearch(leaf, totW)
+    var bestGain = -1.0; var bestThr = 0.0; var bestF = -1
     var second = -1.0
     for (f <- leaf.candidateFeatures) {
-      val (g, thr) = bestSplitForFeature(leaf, f)
-      if (g > best._1) { second = best._1; best = (g, thr); bestF = f }
+      val (g, thr) = search.best(f)
+      if (g > bestGain) { second = bestGain; bestGain = g; bestThr = thr; bestF = f }
       else if (g > second) second = g
     }
-    if (bestF < 0 || best._1 <= 0) return
-    val range = math.log(numClasses.toDouble) / math.log(2.0)
+    if (bestF < 0 || bestGain <= 0) return
+    val range = math.log(numClasses.toDouble) / Ln2
     val eps = math.sqrt(range * range * math.log(1.0 / SplitConfidence) / (2.0 * totW))
-    if (best._1 - math.max(second, 0.0) > eps || eps < cfg.tieThreshold) {
-      doSplit(leaf, parent, bestF, best._2)
+    if (bestGain - math.max(second, 0.0) > eps || eps < cfg.tieThreshold) {
+      doSplit(leaf, parent, bestF, bestThr)
     }
   }
 
@@ -315,7 +318,32 @@ object HoeffdingTree {
   /** Leaf weight from which a leaf may answer with naive Bayes. */
   private[classifier] val NbThreshold = 10.0
   /** Candidate thresholds per feature, evenly spaced inside the observed range. */
-  private val NumSplitPoints = 10
+  private[classifier] val NumSplitPoints = 10
+  /** ln 2, the divisor that turns natural logarithms into bits. */
+  private val Ln2 = math.log(2)
+
+  /** `xs.sum` without boxing: left to right, starting from element 0. */
+  private def sum(xs: Array[Double]): Double = {
+    var s = xs(0)
+    var i = 1
+    while (i < xs.length) { s += xs(i); i += 1 }
+    s
+  }
+
+  /** Shannon entropy in bits of the class distribution `counts`. */
+  private def entropy(counts: Array[Double]): Double = {
+    var tot = 0.0; var i = 0
+    while (i < counts.length) { tot += counts(i); i += 1 }
+    if (tot <= 0) return 0.0
+    var h = 0.0
+    i = 0
+    while (i < counts.length) {
+      val p = counts(i) / tot
+      if (p > 1e-12) h -= p * math.log(p) / Ln2
+      i += 1
+    }
+    h
+  }
 
   /** Whether `a` and `b` hold the same bits in `a`'s positions. */
   private def sameBits(a: Array[Double], b: Array[Double]): Boolean = {

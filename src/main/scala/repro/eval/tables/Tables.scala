@@ -19,14 +19,19 @@ object Tables {
   private def grid(datasets: Seq[String], systems: Seq[String]): Seq[Cell] =
     for (d <- datasets; s <- systems; seed <- Seeds) yield Cell(d, s, seed)
 
-  /** The one table renderer: a header line (`corner`, then the formatted
-    * column `heads`), then one line per row (its label, then its formatted
-    * cells), every label left-aligned in `labelWidth`.
+  /** The one table renderer: a header line (`corner`, then each column's
+    * head right-aligned in the column's width), then one line per row (its
+    * label, then its formatted cells, each padded on the right to its
+    * column's width), every label left-aligned in `labelWidth`. A column is
+    * its head and its width, so a head lines up with the cells below it.
     */
-  private def render(corner: String, labelWidth: Int, heads: Seq[String])(rows: Seq[(String, Seq[String])]): String =
+  private def render(corner: String, labelWidth: Int, columns: Seq[(String, Int)])(rows: Seq[(String, Seq[String])]): String = {
+    val heads = columns.map { case (head, width) => " " * (width - head.length) + head }
+    val widths = columns.map(_._2)
     ((corner -> heads) +: rows).map { case (label, cells) =>
-      label.padTo(labelWidth, ' ') + cells.mkString + "\n"
+      label.padTo(labelWidth, ' ') + cells.zip(widths).map { case (cell, width) => cell.padTo(width, ' ') }.mkString + "\n"
     }.mkString
+  }
 
   // ------------------------------------------------------------- Table II
 
@@ -35,7 +40,7 @@ object Tables {
       "QG" -> 4010, "UCI-Wine" -> 6498, "RBF" -> 30000, "RTREE" -> 30000, "STAGGER" -> 30000,
       "HPLANE-U" -> 30000, "RTREE-U" -> 30000)
     "TABLE II: dataset characteristics (paper length -> scaled length)\n" +
-      render("Dataset", 10, Seq(f" ${"Length"}%8s", f" ${"#feat"}%6s", f" ${"#ctx"}%5s", "   paperLen"))(
+      render("Dataset", 10, Seq("Length" -> 9, "#feat" -> 7, "#ctx" -> 6, "paperLen" -> 11))(
         Datasets.all.map(ds => ds.name -> Seq(f" ${ds.length}%8d", f" ${ds.numFeatures}%6d",
           f" ${ds.numContexts}%5d", f"   ${paperLen(ds.name)}%8d")))
   }
@@ -96,7 +101,7 @@ object Tables {
   def tableIII(outcomes: Seq[RunOutcome]): String = {
     val disc = EvalGrid.aggregate(outcomes, _.discrimination)
     "TABLE III: discrimination ability — ours mean (std) [paper]\n" +
-      render("Dataset", 10, MainSystems.map(s => f"$s%22s"))(MainDatasets.map(d =>
+      render("Dataset", 10, MainSystems.map(_ -> 24))(MainDatasets.map(d =>
         d -> MainSystems.zipWithIndex.map { case (s, i) =>
           val a = clamp500(disc((d, s)))
           f"${a.mean}%6.2f (${a.std}%5.2f) [${PaperDisc(d)(i)}%7.2f]"
@@ -109,11 +114,11 @@ object Tables {
       ("C-F1", EvalGrid.aggregate(outcomes, _.cF1), PaperCF1),
     ).map { case (label, agg, paper) =>
       val ranks = Metrics.averageRanks(MainDatasets.map(d => MainSystems.map(s => s -> agg((d, s)).mean).toMap))
-      s"-- $label --\n" + render("Dataset", 10, MainSystems.map(s => f"$s%20s"))(
+      s"-- $label --\n" + render("Dataset", 10, MainSystems.map(_ -> 21))(
         MainDatasets.map(d => d -> MainSystems.zipWithIndex.map { case (s, i) =>
           val a = agg((d, s))
           f"  ${a.mean}%5.2f (${a.std}%4.2f) [${paper(d)(i)}%4.2f]"
-        }) :+ ("Avg Rank" -> MainSystems.map(s => f"  ${ranks(s)}%5.2f" + " " * 13)))
+        }) :+ ("Avg Rank" -> MainSystems.map(s => f"  ${ranks(s)}%5.2f")))
     }.mkString
 
   // ------------------------------------------------------------- Table V
@@ -130,7 +135,7 @@ object Tables {
       ("C-F1", EvalGrid.aggregate(outcomes, _.cF1)),
       ("discrimination", EvalGrid.aggregate(outcomes, _.discrimination).andThen(clamp500 _)),
     ).map { case (label, agg) =>
-      s"-- $label --\n" + render("Function", 26, SynthDatasets.map(d => f"${d.stripPrefix("Synth_")}%15s"))(
+      s"-- $label --\n" + render("Function", 26, SynthDatasets.map(_.stripPrefix("Synth_") -> 14))(
         FnSystems.map(s => s.stripPrefix("fn:") -> SynthDatasets.map { d =>
           val a = agg((d, s))
           f"  ${a.mean}%5.2f (${a.std}%4.2f)"
@@ -170,12 +175,12 @@ object Tables {
       ("runtime (ms, ours only; paper used s on their testbed)",
         EvalGrid.aggregate(outcomes, _.runtimeMs.toDouble), None),
     ).map { case (label, agg, paper) =>
-      s"-- $label --\n" + render("Framework", 10, FrameworkDatasets.map(d => f"$d%16s"))(
+      s"-- $label --\n" + render("Framework", 10, FrameworkDatasets.map(_ -> 18))(
         Frameworks.map(s => s -> FrameworkDatasets.zipWithIndex.map { case (d, i) =>
           val a = agg((d, s))
           paper match {
             case Some(p) => f" ${a.mean}%5.2f(${a.std}%4.2f)[${p(s)(i)}%4.2f]"
-            case None    => f" ${a.mean}%9.0f(${a.std}%5.0f)"
+            case None    => f"  ${a.mean}%9.0f(${a.std}%5.0f)"
           }
         }))
     }.mkString

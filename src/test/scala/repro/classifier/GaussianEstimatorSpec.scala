@@ -23,6 +23,33 @@ final class RunningScalarOracle {
   def std: Double   = if (n > 1) math.sqrt(math.max(m2 / n, 0.0)) else 0.0
 }
 
+/** `GaussianEstimator.pdf` and `cdf` from before the estimator kept its
+  * floored σ — each call takes σ from `variance` afresh — kept verbatim
+  * (estimator members qualified by `e`) as the test oracle.
+  */
+object EstimatorOracle {
+
+  def pdf(e: GaussianEstimator, v: Double): Double = {
+    val sd = math.max(e.stdDev, 1e-6)
+    val z  = (v - e.mean) / sd
+    math.exp(-0.5 * z * z) / (sd * math.sqrt(2 * math.Pi))
+  }
+
+  def cdf(e: GaussianEstimator, v: Double): Double = {
+    if (e.weight <= 0) return 0.5
+    val sd = math.max(e.stdDev, 1e-6)
+    0.5 * (1.0 + erf((v - e.mean) / (sd * math.sqrt(2.0))))
+  }
+
+  private def erf(x: Double): Double = {
+    val sign = if (x < 0) -1.0 else 1.0
+    val a = math.abs(x)
+    val t = 1.0 / (1.0 + 0.3275911 * a)
+    val y = 1.0 - (((((1.061405429 * t - 1.453152027) * t) + 1.421413741) * t - 0.284496736) * t + 0.254829592) * t * math.exp(-a * a)
+    sign * y
+  }
+}
+
 class GaussianEstimatorSpec extends AnyFunSuite {
 
   test("property: at unit weight, count, mean and sigma equal the scalar Welford update bit for bit") {
@@ -100,5 +127,71 @@ class GaussianEstimatorSpec extends AnyFunSuite {
     (1 to 50).foreach(_ => est.add(3.3))
     assert(est.variance < 1e-12)
     assert(est.pdf(3.3) > est.pdf(3.4))
+  }
+
+  private def same(a: Double, b: Double) =
+    java.lang.Double.doubleToRawLongBits(a) == java.lang.Double.doubleToRawLongBits(b)
+
+  private def roundTrip(e: GaussianEstimator): GaussianEstimator = {
+    val bos = new java.io.ByteArrayOutputStream()
+    val out = new java.io.ObjectOutputStream(bos)
+    out.writeObject(e)
+    out.close()
+    new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bos.toByteArray))
+      .readObject().asInstanceOf[GaussianEstimator]
+  }
+
+  /** Whether `e` and a Java copy of it give the oracle's pdf and cdf bits at every probe. */
+  private def matchesOracle(e: GaussianEstimator, probes: Seq[Double]): Boolean = {
+    val copy = roundTrip(e)
+    (probes :+ e.mean).forall { v =>
+      val (p, c) = (EstimatorOracle.pdf(e, v), EstimatorOracle.cdf(e, v))
+      same(e.pdf(v), p) && same(e.cdf(v), c) && same(copy.pdf(v), p) && same(copy.cdf(v), c)
+    }
+  }
+
+  test("property: after weighted adds, pdf and cdf equal the oracle bit for bit, also after a Java round trip") {
+    val weights = Gen.frequency(
+      6 -> Gen.const(1.0), 3 -> Gen.choose(1e-3, 20.0), 1 -> Gen.oneOf(0.0, -1.0, -1e-3))
+    val values = Gen.oneOf(Gen.choose(-1e3, 1e3), Gen.choose(-1.0, 1.0))
+    // Varied values, or one constant value that keeps σ at the 1e-6 floor.
+    val adds = Gen.choose(0, 60).flatMap { n =>
+      Gen.oneOf(
+        Gen.listOfN(n, Gen.zip(values, weights)),
+        values.flatMap(v => Gen.listOfN(n, weights.map(w => (v, w)))))
+    }
+    val probes = Gen.listOfN(4, Gen.oneOf(Gen.choose(-1e3, 1e3), Gen.choose(-2.0, 2.0)))
+    var floored = 0
+    val prop = Prop.forAll(adds, probes) { (xs, vs) =>
+      val est = new GaussianEstimator
+      // Compared before the first add and after every add.
+      matchesOracle(est, vs) && xs.forall { case (x, w) =>
+        est.add(x, w)
+        if (est.weight > 0 && est.stdDev < 1e-6) floored += 1
+        matchesOracle(est, vs :+ x)
+      }
+    }
+    val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(result.passed, result.status.toString)
+    assert(floored >= 100, s"only $floored states at the 1e-6 floor")
+  }
+
+  test("pdf and cdf equal the oracle for a fresh estimator, one value, a constant run and ignored weights") {
+    val probes = Seq(-1.0, 0.0, 1e-7, 3.3, 3.3 + 1e-6, 100.0)
+    val fresh = new GaussianEstimator
+    assert(matchesOracle(fresh, probes) && fresh.cdf(0.0) == 0.5)
+    val ignored = new GaussianEstimator
+    ignored.add(5.0, 0.0); ignored.add(5.0, -2.0)
+    assert(ignored.weight == 0.0 && matchesOracle(ignored, probes))
+    val one = new GaussianEstimator
+    one.add(3.3, 2.5)
+    assert(matchesOracle(one, probes))
+    val constant = new GaussianEstimator
+    (1 to 50).foreach(_ => constant.add(3.3))
+    assert(constant.stdDev < 1e-6 && matchesOracle(constant, probes))
+    constant.add(3.4, -1.0)
+    assert(matchesOracle(constant, probes))
+    constant.add(3.4)
+    assert(constant.stdDev > 1e-6 && matchesOracle(constant, probes))
   }
 }

@@ -210,6 +210,54 @@ class HoeffdingTreeSpec extends AnyFunSuite {
     assert(result.passed, result.status.toString)
     assert(nbRows >= 10000 && splitTrees >= 50, s"naive-Bayes rows $nbRows, trees that split $splitTrees")
   }
+
+  test("property: every candidate feature's split (gain, threshold) equals the verbatim oracle bit for bit") {
+    import org.scalacheck.{Gen, Prop, Test => SCTest}
+    // Trees grown from weighted rows (weights above 1, as ARF's Poisson(6)
+    // draws are, and fractional ones) on 2 or 3 classes, with every
+    // feature or an ARF-style subspace of 2, sometimes with a constant
+    // feature. Every 10 rows, every leaf is searched through one
+    // SplitSearch, as an attempt does, feature after feature.
+    val cases = for {
+      k <- Gen.oneOf(2, 3)
+      d <- Gen.choose(1, 5)
+      subset <- Gen.oneOf(-1, 2)
+      constant <- Gen.oneOf(false, true)
+      n <- Gen.choose(50, 500)
+      seed <- Gen.choose(0L, Long.MaxValue)
+    } yield (k, d, subset, constant, n, seed)
+    def same(a: Double, b: Double) = java.lang.Double.doubleToRawLongBits(a) == java.lang.Double.doubleToRawLongBits(b)
+    var searched, gains, absentClass = 0
+    val prop = Prop.forAll(cases) { case (k, d, subset, constant, n, seed) =>
+      val rng = new Random(seed)
+      val t = new HoeffdingTree(d, k, HoeffdingTreeConfig(gracePeriod = 20, featureSubsetSize = subset), seed = 3)
+      def leaves(node: t.Node): Seq[t.Leaf] = node match {
+        case s: t.Split => leaves(s.left) ++ leaves(s.right)
+        case l: t.Leaf  => Seq(l)
+      }
+      (0 until n).forall { i =>
+        val x = Array.fill(d)(rng.nextDouble())
+        if (constant) x(d - 1) = 0.5
+        val y = if (rng.nextDouble() < 0.1) rng.nextInt(k) else math.min(k - 1, (x(0) * k).toInt)
+        val w = if (rng.nextInt(4) == 0) 0.1 + 3 * rng.nextDouble() else (1 + rng.nextInt(6)).toDouble
+        t.train(x, y, w)
+        i % 10 != 9 || leaves(t.root).forall { leaf =>
+          val search = new t.SplitSearch(leaf, leaf.totalWeight)
+          if (leaf.classCounts.contains(0.0)) absentClass += 1
+          leaf.candidateFeatures.forall { f =>
+            val (g, thr) = search.best(f)
+            val (wantG, wantThr) = SplitOracle.bestSplitForFeature(t, leaf, f)
+            searched += 1
+            if (g > 0) gains += 1
+            same(g, wantG) && same(thr, wantThr)
+          }
+        }
+      }
+    }
+    val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(200), prop)
+    assert(result.passed, result.status.toString)
+    assert(gains >= 10000 && absentClass >= 100, s"searched $searched, positive gains $gains, leaves lacking a class $absentClass")
+  }
 }
 
 /** `explain` against the verbatim two-pass attribution oracle, bit for bit. */

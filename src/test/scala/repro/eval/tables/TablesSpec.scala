@@ -87,7 +87,7 @@ class TablesSpec extends AnyFunSuite {
     val text = Seq(tableII(), tableIII(outcomes), tableIV(outcomes), tableV(outcomes), tableVI(outcomes)).mkString
     val sha = java.security.MessageDigest.getInstance("SHA-256")
       .digest(text.getBytes(java.nio.charset.StandardCharsets.UTF_8)).map(b => f"$b%02x").mkString
-    assert(sha == "0b0f62299143ce927eecc81245a6ed39bc1a9496b079dd5aa7093428a07c621b")
+    assert(sha == "f9bad05b79d15dd43dfad1fe5edbed8ec6a593b4d2fddcc9d47c46b2dd5e4ee6")
   }
 
   test("one missing cell fails its table's grid-size check") {
