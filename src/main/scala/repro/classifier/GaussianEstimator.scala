@@ -10,7 +10,8 @@ final class GaussianEstimator extends Serializable {
   private var mu: Double   = 0.0
   private var m2: Double   = 0.0
   // max(stdDev, 1e-6), the σ that pdf and cdf use; it changes only in add.
-  private var sd: Double   = 1e-6
+  // It follows from w and m2, so it is not serialized but recomputed.
+  @transient private var sd: Double = 1e-6
 
   def weight: Double = w
   def mean: Double   = mu
@@ -23,6 +24,11 @@ final class GaussianEstimator extends Serializable {
     val delta = v - mu
     mu += delta * weight / w
     m2 += weight * delta * (v - mu)
+    sd = math.max(stdDev, 1e-6)
+  }
+
+  private def readObject(in: java.io.ObjectInputStream): Unit = {
+    in.defaultReadObject()
     sd = math.max(stdDev, 1e-6)
   }
 

@@ -29,6 +29,9 @@ final class RunningVec(val dim: Int) extends Serializable {
   def meanVector: Array[Double] = means.clone()
   def totalCount: Double = if (dim == 0) 0 else counts(0)
 
+  /** Whether σ is defined: at least two fingerprints counted. */
+  def sigmaDefined: Boolean = totalCount >= 2
+
   /** Soft plasticity: keep each dim's mean/σ but shrink its effective count
     * so subsequent fingerprints move the distribution `1/factor`× faster.
     * Avoids the discontinuity a hard reset would inject into similarity.

@@ -89,24 +89,23 @@ final class FiCSUM(
 
   private def tailWindow: IndexedSeq[Labeled] = buf.takeRight(w).toIndexedSeq
 
-  /** `rows` as concept `s` would see them: s's classifier re-predicts the
-    * labels (paper's F_AS / F_SC construction) and, with Shapley dims,
-    * attributes each row from the same leaf evaluation.
+  /** The w-row windows of `rows` at `starts` as each of `concepts` would see
+    * them (paper's F_AS / F_SC): its classifier relabels each row once and,
+    * with Shapley dims, attributes it in the same leaf evaluation. A window's
+    * classifier-free kernel outputs are computed once for all concepts (not
+    * at all without one). Raw: reads neither the normalizer nor the weights.
     */
-  private def foreignRows(rows: IndexedSeq[Labeled], s: ConceptState): (IndexedSeq[Labeled], IndexedSeq[Array[Double]]) =
-    if (!spec.includeShapley) (rows.map(o => o.copy(l = s.classifier.predict(o.x))), IndexedSeq.empty)
-    else {
-      val contribs = rows.map(_ => new Array[Double](numFeatures))
-      (rows.indices.map(k => rows(k).copy(l = s.classifier.explain(rows(k).x, contribs(k)))), contribs)
+  private[core] def foreignFingerprints(rows: IndexedSeq[Labeled], starts: Seq[Int],
+      concepts: collection.Seq[ConceptState]): collection.Seq[Seq[Array[Double]]] = {
+    lazy val shared = starts.map(o => Fingerprinter.classifierFree(spec, rows.slice(o, o + w)))
+    concepts.map { s =>
+      val contribs = if (spec.includeShapley) rows.map(_ => new Array[Double](numFeatures)) else IndexedSeq.empty
+      val relabeled = rows.indices.map(k => rows(k).copy(l =
+        if (spec.includeShapley) s.classifier.explain(rows(k).x, contribs(k)) else s.classifier.predict(rows(k).x)))
+      starts.zip(shared).map { case (o, sh) =>
+        Fingerprinter.make(spec, relabeled.slice(o, o + w), contribs.slice(o, o + w), sh)
+      }
     }
-
-  /** Fingerprint of `win` as concept `s` would see it; `shared` holds the
-    * window's classifier-free kernel outputs, the same for every concept.
-    */
-  private[core] def foreignFingerprint(
-      win: IndexedSeq[Labeled], s: ConceptState, shared: Map[Source, Array[Double]]): Array[Double] = {
-    val (relabeled, contribs) = foreignRows(win, s)
-    Fingerprinter.make(spec, relabeled, contribs, shared)
   }
 
   private def simTo(s: ConceptState, raw: Array[Double], weights: Array[Double]): Double =
@@ -119,25 +118,16 @@ final class FiCSUM(
     val offsets =
       if (all.length >= w + 2) Seq(0, (all.length - w) / 2, all.length - w).distinct
       else Seq(math.max(0, all.length - w))
-    lazy val shared = offsets.map(o => Fingerprinter.classifierFree(spec, all.slice(o, o + w)))
-    val scored = repo.iterator
-      .filter(s => !exclude.contains(s))
-      .filter(s => s.stats.totalCount >= 2 && s.sampleFps.nonEmpty)
-      .map { s =>
-        // Per-candidate weights (w_σ is the *candidate's* per-dim scale) and
-        // a self-similarity band recomputed from retained sample
-        // fingerprints under the current normalizer/weights (§IV).
-        val ws = DynamicWeights.compute(s, repo.toIndexedSeq, normalizer)
-        // One leaf evaluation per buffer row, sliced into the sub-windows.
-        val (relabeled, contribs) = foreignRows(all, s)
-        val sims = offsets.zip(shared).map { case (o, sh) =>
-          val fp = Fingerprinter.make(spec, relabeled.slice(o, o + w), contribs.slice(o, o + w), sh)
-          simTo(s, fp, ws)
-        }
-        val selfSims = s.sampleFps.toSeq.map(fp => simTo(s, fp, ws))
-        (s, Metrics.mean(sims), Metrics.mean(selfSims), Metrics.stdDev(selfSims))
-      }
-      .toSeq
+    val tested = repo.filter(s => !exclude.contains(s) && s.stats.sigmaDefined && s.sampleFps.nonEmpty)
+    val scored = tested.zip(foreignFingerprints(all, offsets, tested)).map { case (s, fps) =>
+      // Per-candidate weights (w_σ is the *candidate's* per-dim scale) and
+      // a self-similarity band recomputed from retained sample
+      // fingerprints under the current normalizer/weights (§IV).
+      val ws = DynamicWeights.compute(s, repo.toIndexedSeq, normalizer)
+      val sims = fps.map(fp => simTo(s, fp, ws))
+      val selfSims = s.sampleFps.toSeq.map(fp => simTo(s, fp, ws))
+      (s, Metrics.mean(sims), Metrics.mean(selfSims), Metrics.stdDev(selfSims))
+    }
     // Two-sided acceptance (paper: |Sim − μ_s| ≤ 2σ_s, with a floor), plus
     // a self-coherence floor: a concept whose own sample fingerprints do
     // not resemble its mean representation (contaminated creation) cannot
@@ -243,7 +233,7 @@ final class FiCSUM(
       // statistics — and arming before the sample fingerprints are
       // collected would leave early (false) detections without a usable
       // recurrence band, spawning garbage concepts.
-      if (active.frozen && active.stats.totalCount >= 2 && active.simStats.weight >= 2) {
+      if (active.frozen && active.stats.sigmaDefined && active.simStats.weight >= 2) {
         detectorUpdates += 1
         val simA = simTo(active, fA, weights)
         // EWMA smoothing: consecutive fingerprints overlap by w−P_C
@@ -269,10 +259,8 @@ final class FiCSUM(
     }
 
     if (buf.length == b + w && i % cfg.repoGap == 0 && repo.length > 1) {
-      val winA = tailWindow
-      val shared = Fingerprinter.classifierFree(spec, winA)
-      for (s <- repo if !(s eq active)) {
-        val fSC = foreignFingerprint(winA, s, shared)
+      val others = repo.filter(s => !(s eq active))
+      for ((s, fps) <- others.zip(foreignFingerprints(tailWindow, Seq(0), others)); fSC <- fps) {
         normalizer.update(fSC)
         s.scStats.add(fSC)
       }
@@ -299,13 +287,11 @@ final class FiCSUM(
   // ----------------------------------------------------------------- probe
 
   def probe(): Option[ProbeResult] = {
-    if (repo.length < 2 || buf.length < w) return None
-    val win = tailWindow
-    val usable = repo.filter(s => s.stats.totalCount >= 2)
+    if (buf.length < w) return None
+    val usable = repo.filter(_.stats.sigmaDefined)
     if (usable.length < 2) return None
-    val shared = Fingerprinter.classifierFree(spec, win)
-    val sims = usable.map { s =>
-      s.id -> simTo(s, foreignFingerprint(win, s, shared), lastWeights)
+    val sims = usable.zip(foreignFingerprints(tailWindow, Seq(0), usable)).map { case (s, fps) =>
+      s.id -> simTo(s, fps.head, lastWeights)
     }.toMap
     val sigmas = usable.map(s => s.id -> s.simStats.stdDev).toMap
     Some(ProbeResult(sims, sigmas))

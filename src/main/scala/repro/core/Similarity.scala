@@ -111,10 +111,10 @@ object DynamicWeights {
     val dim = active.dim
     val w = new Array[Double](dim)
     val wD = new Array[Double](dim)
-    val withStats = repo.iterator.filter(_.stats.totalCount >= 2).map(_.stats).toArray
+    val withStats = repo.iterator.filter(_.stats.sigmaDefined).map(_.stats).toArray
     // Only `add` touches scStats, which counts every dim at once, so the
     // per-dim count test is the same for all dims.
-    val withSc = repo.iterator.filter(_.scStats.totalCount >= 2).toArray
+    val withSc = repo.iterator.filter(_.scStats.sigmaDefined).toArray
     val nS = withStats.length
     val nSc = withSc.length
     val mus = new Array[Double](nS)

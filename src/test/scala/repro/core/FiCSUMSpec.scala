@@ -157,25 +157,43 @@ class FiCSUMSpec extends AnyFunSuite {
   test("a foreign fingerprint with the shared classifier-free block equals the direct one for every variant") {
     val aq = Datasets.aqSex.build(1)
     val d = aq.numFeatures
-    val cfg = FiCSUMConfig().treeConfig
-    // A stored concept's tree grown on the first segments; the window is
-    // labelled by another tree on later data, as in the buffer.
-    val stored = new HoeffdingTree(d, aq.numClasses, cfg, seed = 3)
-    aq.obs.take(1500).foreach(o => stored.train(o.x, o.y))
+    val fc = FiCSUMConfig()
+    val (w, cfg) = (fc.windowSize, fc.treeConfig)
+    // Stored concepts' trees grown on the first segments: one has split,
+    // the other has seen fewer rows than its grace period, so its Shapley
+    // dims take the root leaf's zero path. The buffer is labelled by
+    // another tree on later data, as in the engine.
+    val split = new HoeffdingTree(d, aq.numClasses, cfg, seed = 3)
+    aq.obs.take(1500).foreach(o => split.train(o.x, o.y))
+    val unsplit = new HoeffdingTree(d, aq.numClasses, cfg, seed = 5)
+    aq.obs.take(60).foreach(o => unsplit.train(o.x, o.y))
     val home = new HoeffdingTree(d, aq.numClasses, cfg, seed = 4)
     val labelled = aq.obs.slice(1500, 2400).map { o =>
       val l = home.predict(o.x); home.train(o.x, o.y); Labeled(o.x, o.y, l)
     }
-    val window = labelled.takeRight(FiCSUMConfig().windowSize)
-    assert(stored.splitEvents >= 1 && window.exists(o => stored.predict(o.x) != o.l))
+    val buffer = labelled.takeRight(fc.bufferLen + w)
+    assert(split.splitEvents >= 1 && buffer.exists(o => split.predict(o.x) != o.l))
+    assert(unsplit.splitEvents == 0)
+    // Model selection's staggered starts over the full b + w buffer, and the
+    // tail window alone as the F_SC refresh and the probe take it.
+    val shapes = Seq(
+      (buffer, Seq(0, (buffer.length - w) / 2, buffer.length - w)),
+      (buffer.takeRight(w), Seq(0)),
+    )
+    def bits(fps: collection.Seq[Seq[Array[Double]]]) = fps.map(_.map(_.toSeq.map(java.lang.Double.doubleToLongBits)))
     val variants = Seq("FiCSUM", "S-MI", "U-MI", "ER", "fn:Shapley Value") ++
       MetaFunctions.tableVGroups.map { case (label, _) => s"fn:$label" }
-    for (name <- variants) {
+    for (name <- variants; (rows, starts) <- shapes) {
       val f = Systems.create(name, d, aq.numClasses, 1).asInstanceOf[FiCSUM]
-      val s = new ConceptState(0, f.spec.dim, stored)
-      val got = f.foreignFingerprint(window, s, Fingerprinter.classifierFree(f.spec, window))
-      val want = Fingerprinter.make(f.spec, window.map(o => o.copy(l = stored.predict(o.x))), Some(stored))
-      assert(got.toSeq.map(java.lang.Double.doubleToLongBits) == want.toSeq.map(java.lang.Double.doubleToLongBits), name)
+      val concepts = Seq(split, unsplit).zipWithIndex.map { case (t, id) => new ConceptState(id, f.spec.dim, t) }
+      val got = f.foreignFingerprints(rows, starts, concepts)
+      val want = concepts.map { s =>
+        starts.map { o =>
+          val window = rows.slice(o, o + w)
+          Fingerprinter.make(f.spec, window.map(r => r.copy(l = s.classifier.predict(r.x))), Some(s.classifier))
+        }
+      }
+      assert(bits(got) == bits(want), s"$name over ${rows.length} rows from $starts")
     }
   }
 }

@@ -37,7 +37,7 @@ class AdwinSpec extends AnyFunSuite {
   test("low false-positive rate on stationary data") {
     val rng = new Random(4)
     var fps = 0
-    for (trial <- 0 until 10) {
+    for (_ <- 0 until 10) {
       val ad = new Adwin(0.002)
       (0 until 500).foreach { _ =>
         if (ad.add(0.5 + rng.nextGaussian() * 0.1)) fps += 1
