@@ -8,8 +8,6 @@ import scala.util.Random
   */
 final case class HoeffdingTreeConfig(
     gracePeriod: Int = 50,
-    tieThreshold: Double = 0.05,
-    maxDepth: Int = 8,
     /** <= 0 means use all features; otherwise each leaf draws a random
       * subset of this size (Adaptive Random Forest subspace).
       */
@@ -220,7 +218,7 @@ final class HoeffdingTree(
       f += 1
     }
     leaf.weightSinceEval += weight
-    if (leaf.weightSinceEval >= cfg.gracePeriod && leaf.depth < cfg.maxDepth) {
+    if (leaf.weightSinceEval >= cfg.gracePeriod && leaf.depth < MaxDepth) {
       leaf.weightSinceEval = 0.0
       attemptSplit(leaf, parent)
     }
@@ -285,7 +283,7 @@ final class HoeffdingTree(
     if (bestF < 0 || bestGain <= 0) return
     val range = math.log(numClasses.toDouble) / Ln2
     val eps = math.sqrt(range * range * math.log(1.0 / SplitConfidence) / (2.0 * totW))
-    if (bestGain - math.max(second, 0.0) > eps || eps < cfg.tieThreshold) {
+    if (bestGain - math.max(second, 0.0) > eps || eps < TieThreshold) {
       doSplit(leaf, parent, bestF, bestThr)
     }
   }
@@ -315,6 +313,12 @@ final class HoeffdingTree(
 object HoeffdingTree {
   /** δ: a split needs a gain margin over the runner-up beyond the Hoeffding bound at 1 − δ. */
   private val SplitConfidence = 0.01
+  /** τ: once the Hoeffding bound falls below it, the best split is taken
+    * without a margin over the runner-up (VFDT's tie threshold).
+    */
+  private val TieThreshold = 0.05
+  /** Depth from which leaves no longer split. */
+  private[classifier] val MaxDepth = 8
   /** Leaf weight from which a leaf may answer with naive Bayes. */
   private[classifier] val NbThreshold = 10.0
   /** Candidate thresholds per feature, evenly spaced inside the observed range. */

@@ -7,19 +7,12 @@ import repro.eval.{Metrics, Probeable, ProbeResult, StreamSystem}
 
 /** FiCSUM parameters (paper §VI-2). Window/gap defaults are the paper's
   * tuned values scaled to this reproduction's shorter segments: w=50
-  * (paper 75), buffer ratio 0.25, P_C=3 (as in the paper), P_S=50 (paper 25).
+  * (paper 75), P_S=50 (paper 25). The settings no caller varies are
+  * constants of the `FiCSUM` companion object.
   */
 final case class FiCSUMConfig(
     windowSize: Int = 50,
-    bufferRatio: Double = 0.25,
-    fingerprintGap: Int = 3,
     repoGap: Int = 50,
-    adwinDelta: Double = 0.8,
-    /** Floor on the ±2σ acceptance band so freshly-created concepts with
-      * near-zero σ are not unmatchable (stands in for paper §IV's
-      * similarity-record transform).
-      */
-    acceptMinBand: Double = 0.15,
     /** Larger grace period than the global default: FiCSUM's plasticity
       * reset fires on tree growth (§IV), and too-frequent splits would reset
       * the supervised fingerprint dims before ADWIN can cut on the
@@ -27,7 +20,7 @@ final case class FiCSUMConfig(
       */
     treeConfig: HoeffdingTreeConfig = HoeffdingTreeConfig(gracePeriod = 100),
 ) extends Serializable {
-  def bufferLen: Int = math.max(1, (windowSize * bufferRatio).round.toInt)
+  def bufferLen: Int = math.max(1, (windowSize * FiCSUM.BufferRatio).round.toInt)
 }
 
 /** The FiCSUM framework (paper Algorithm 1): fingerprint-based concept
@@ -45,6 +38,7 @@ final class FiCSUM(
     cfg: FiCSUMConfig = FiCSUMConfig(),
     seed: Long = 42,
 ) extends StreamSystem with Probeable {
+  import FiCSUM._
 
   private val w = cfg.windowSize
   private val b = cfg.bufferLen
@@ -53,7 +47,7 @@ final class FiCSUM(
   private var i   = 0L
 
   private val normalizer = new Normalizer(spec.dim)
-  private var adwin      = new Adwin(cfg.adwinDelta)
+  private var adwin      = new Adwin(AdwinDelta)
 
   private var nextId = 0
   private val repo   = mutable.ArrayBuffer.empty[ConceptState]
@@ -133,7 +127,7 @@ final class FiCSUM(
     // not resemble its mean representation (contaminated creation) cannot
     // vouch for any window and is never re-selected.
     val candidates = scored.filter { case (_, sim, mu, sd) =>
-      mu >= 0.2 && math.abs(sim - mu) <= math.max(2 * sd, cfg.acceptMinBand)
+      mu >= 0.2 && math.abs(sim - mu) <= math.max(2 * sd, AcceptMinBand)
     }
     // Paper: "recurrence of the accepted M with highest Sim_WM".
     if (candidates.isEmpty) None
@@ -163,7 +157,7 @@ final class FiCSUM(
   }
 
   private def restartDetector(): Unit = {
-    adwin = new Adwin(cfg.adwinDelta)
+    adwin = new Adwin(AdwinDelta)
     simEwma = Double.NaN
     breachCount = 0
   }
@@ -197,7 +191,7 @@ final class FiCSUM(
     i += 1
 
     val full = buf.length == b + w
-    if (full && i % cfg.fingerprintGap == 0) {
+    if (full && i % FingerprintGap == 0) {
       fingerprintUpdates += 1
       // Each buffer row is attributed once; A is the tail window, B the head.
       val rows = buf.toIndexedSeq
@@ -296,4 +290,18 @@ final class FiCSUM(
     val sigmas = usable.map(s => s.id -> s.simStats.stdDev).toMap
     Some(ProbeResult(sims, sigmas))
   }
+}
+
+object FiCSUM {
+  /** Buffer length as a share of the window (paper: 0.25). */
+  private[core] val BufferRatio = 0.25
+  /** P_C: steps between fingerprints (as in the paper). */
+  private val FingerprintGap = 3
+  /** ADWIN δ on the smoothed similarity sequence. */
+  private val AdwinDelta = 0.8
+  /** Floor on the ±2σ acceptance band so freshly-created concepts with
+    * near-zero σ are not unmatchable (stands in for paper §IV's
+    * similarity-record transform).
+    */
+  private val AcceptMinBand = 0.15
 }

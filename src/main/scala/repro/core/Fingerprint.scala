@@ -69,12 +69,12 @@ final case class FingerprintSpec(
 object FingerprintSpec {
   import repro.meta.MetaFunctions
 
-  private def allSources(d: Int): IndexedSeq[Source] =
-    (0 until d).map(FeatureSource(_)) ++
-      IndexedSeq(LabelSource, PredSource, ErrorSource, ErrorDistSource)
+  private def featureSources(d: Int): IndexedSeq[Source] = (0 until d).map(FeatureSource(_))
 
   private def supervisedSources: IndexedSeq[Source] =
     IndexedSeq(LabelSource, PredSource, ErrorSource, ErrorDistSource)
+
+  private def allSources(d: Int): IndexedSeq[Source] = featureSources(d) ++ supervisedSources
 
   /** Full FiCSUM fingerprint: all sources × 12 functions + d Shapley dims. */
   def full(d: Int): FingerprintSpec =
@@ -86,7 +86,7 @@ object FingerprintSpec {
 
   /** U-MI variant: feature behaviour sources only. */
   def unsupervised(d: Int): FingerprintSpec =
-    FingerprintSpec(d, (0 until d).map(FeatureSource(_)), MetaFunctions.all, includeShapley = false)
+    FingerprintSpec(d, featureSources(d), MetaFunctions.all, includeShapley = false)
 
   /** ER variant: a single error-rate meta-information feature. */
   def errorRate(d: Int): FingerprintSpec =

@@ -59,22 +59,33 @@ class HoeffdingTreeSpec extends AnyFunSuite {
   }
 
   test("no splits on pure-noise labels beyond tie-breaking bound") {
-    val tree = new HoeffdingTree(1, 2, HoeffdingTreeConfig(gracePeriod = 50, tieThreshold = 0.0))
-    val rng = new Random(5)
-    (0 until 2000).foreach(_ => tree.train(Array(rng.nextDouble()), rng.nextInt(2)))
-    assert(tree.splitEvents <= 2, s"splits=${tree.splitEvents}")
+    def splitsOnNoise(n: Int): Long = {
+      val tree = new HoeffdingTree(1, 2, HoeffdingTreeConfig(gracePeriod = 50))
+      val rng = new Random(5)
+      (0 until n).foreach(_ => tree.train(Array(rng.nextDouble()), rng.nextInt(2)))
+      tree.splitEvents
+    }
+    // At δ = 0.01 the bound ε stays at or above τ = 0.05 until a leaf holds
+    // about 921 weight, so 900 rows leave the tie rule no chance to fire.
+    assert(splitsOnNoise(900) == 0)
+    // Past that weight τ breaks the tie, and the tree splits on noise.
+    assert(splitsOnNoise(2000) >= 1)
   }
 
   test("maxDepth bounds the tree") {
-    val cfg = HoeffdingTreeConfig(gracePeriod = 20, maxDepth = 2)
-    val tree = new HoeffdingTree(3, 2, cfg)
+    // A labelling tree deeper than the cap, so growth stops at the cap.
+    val concept = new repro.stream.RandomTreeConcept(4, 3, maxDepth = 12)
+    val tree = new HoeffdingTree(3, 2, HoeffdingTreeConfig(gracePeriod = 20))
     val rng = new Random(6)
-    (0 until 3000).foreach { _ =>
-      val x = Array.fill(3)(rng.nextDouble())
-      tree.train(x, if (x(0) + x(1) > 1) 1 else 0)
+    (0 until 10000).foreach { t =>
+      val o = concept.next(rng, t)
+      tree.train(o.x, o.y)
     }
-    // depth<=2 means at most 1 + 2 = 3 splits
-    assert(tree.splitEvents <= 3)
+    def deepest(n: tree.Node): Int = n match {
+      case s: tree.Split => math.max(deepest(s.left), deepest(s.right))
+      case l: tree.Leaf  => l.depth
+    }
+    assert(deepest(tree.root) == HoeffdingTree.MaxDepth)
   }
 
   test("featureContributions credits the informative feature") {

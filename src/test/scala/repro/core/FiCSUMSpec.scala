@@ -122,8 +122,8 @@ class FiCSUMSpec extends AnyFunSuite {
   }
 
   test("config validation: buffer length is positive") {
-    assert(FiCSUMConfig(windowSize = 50, bufferRatio = 0.25).bufferLen == 13)
-    assert(FiCSUMConfig(windowSize = 4, bufferRatio = 0.01).bufferLen == 1)
+    assert(FiCSUMConfig(windowSize = 50).bufferLen == 13)
+    assert(FiCSUMConfig(windowSize = 1).bufferLen == 1)
   }
 
   test("consecutive drifts are at least b + w steps apart") {

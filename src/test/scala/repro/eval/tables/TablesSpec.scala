@@ -95,4 +95,12 @@ class TablesSpec extends AnyFunSuite {
     assert(without(MainCells.head) == Seq(s"Table III: ${MainCells.size - 1} of ${MainCells.size} cells"))
     assert(without(FnCells.head) == Seq(s"Table V: ${FnCells.size - 1} of ${FnCells.size} cells"))
   }
+
+  test("a pair with no outcome reads as NaN and fails its checks without throwing") {
+    // All 5 seeds of (AQSex, U-MI) missing: the grid-size check counts them,
+    // and the U-MI check compares a NaN mean, which never underperforms.
+    val failures = shapeFailures(passing.filterNot(o => o.dataset == "AQSex" && o.system == "U-MI"))
+    assert(failures == Seq("Table III: 215 of 220 cells",
+      "Table IV: U-MI should underperform ER on AQSex (p(y|X) drift)"))
+  }
 }

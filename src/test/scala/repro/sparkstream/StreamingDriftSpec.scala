@@ -1,11 +1,25 @@
 package repro.sparkstream
 
+import org.apache.spark.api.java.Optional
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
+import org.apache.spark.sql.streaming.{GroupStateTimeout, TestGroupState}
 import repro.SparkSpec
 import repro.core.{FiCSUM, FiCSUMConfig, FingerprintSpec}
-import repro.stream.Datasets
+import repro.stream.{Datasets, GeneratedStream}
 
 class StreamingDriftSpec extends SparkSpec {
+
+  /** The events of the sequential engine over the first `n` rows of `stream`. */
+  private def sequential(stream: GeneratedStream, n: Int, cfg: FiCSUMConfig, seed: Long): (Seq[DriftEvent], FiCSUM) = {
+    val engine = new FiCSUM("FiCSUM", stream.numFeatures, stream.numClasses,
+      FingerprintSpec.full(stream.numFeatures), cfg, seed)
+    val events = stream.obs.take(n).zipWithIndex.map { case (o, i) =>
+      val before = engine.driftCount
+      val (p, m) = engine.step(o.x, o.y)
+      DriftEvent(0, i.toLong, p, m, engine.driftCount > before)
+    }
+    (events, engine)
+  }
 
   test("stateful streaming drift operator matches the sequential engine") {
     import spark.implicits._
@@ -36,18 +50,48 @@ class StreamingDriftSpec extends SparkSpec {
     assert(got.length == n)
 
     // Sequential reference with the identical config and seed.
-    val engine = new FiCSUM("FiCSUM", stream.numFeatures, stream.numClasses,
-      FingerprintSpec.full(stream.numFeatures), cfg, seed = 9)
-    val expected = stream.obs.take(n).zipWithIndex.map { case (o, i) =>
-      val before = engine.driftCount
-      val (p, m) = engine.step(o.x, o.y)
-      DriftEvent(0, i.toLong, p, m, engine.driftCount > before)
-    }
+    val (expected, engine) = sequential(stream, n, cfg, seed = 9)
 
     got.zip(expected).foreach { case (g, e) =>
       assert(g == e, s"divergence at ts=${g.ts}: $g vs $e")
     }
     assert(got.count(_.drift) == engine.driftCount)
+  }
+
+  test("property: processGroup's events do not depend on where micro-batches are cut") {
+    import org.scalacheck.{Gen, Prop, Test => SCTest}
+    // processGroup called directly, the engine's state bytes carried from
+    // one batch to the next as the state store carries them.
+    val stream = Datasets.stagger.build(2)
+    val n = 1000
+    val rows = WindowFingerprints.toRows(stream).take(n)
+    val cfg = FiCSUMConfig()
+    val (expected, _) = sequential(stream, n, cfg, seed = 9)
+    val driftSteps = expected.filter(_.drift).map(_.ts.toInt)
+    assert(driftSteps.nonEmpty)
+    // Cuts at random points (1–25 batches), and in some cases also a cut
+    // before each drift step and before the step after it.
+    val cases = for {
+      k <- Gen.choose(1, 25)
+      random <- Gen.pick(k - 1, 1 until n)
+      atDrifts <- Gen.oneOf(false, true)
+    } yield (random.toSet ++ (if (atDrifts) driftSteps.flatMap(t => Seq(t, t + 1)) else Nil)).toSeq.sorted
+    var driftCut = 0
+    val prop = Prop.forAll(cases) { cuts =>
+      if (driftSteps.forall(cuts.contains)) driftCut += 1
+      var bytes = Optional.empty[Array[Byte]]()
+      val got = (0 +: cuts).zip(cuts :+ n).flatMap { case (from, until) =>
+        val state = TestGroupState.create[Array[Byte]](bytes, GroupStateTimeout.NoTimeout(), 0L, Optional.empty[Long](), false)
+        val events = StreamingDrift.processGroup(0, rows.slice(from, until).iterator, state,
+          stream.numFeatures, stream.numClasses, cfg, seed = 9).toSeq
+        bytes = Optional.of(state.get)
+        events
+      }
+      got == expected
+    }
+    val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(20), prop)
+    assert(result.passed, result.status.toString)
+    assert(driftCut >= 1, s"cases cut at every drift step: $driftCut")
   }
 
   test("streaming operator emits drift events on a drifting stream") {
