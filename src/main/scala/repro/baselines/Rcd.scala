@@ -18,7 +18,7 @@ final class Rcd(numFeatures: Int, numClasses: Int, seed: Long = 42) extends Stre
 
   val name = "RCD"
 
-  private final class Stored(val id: Int, var tree: HoeffdingTree,
+  private final class Stored(val id: Int, val tree: HoeffdingTree,
                              val sample: Array[Array[Double]]) extends Serializable
 
   private val repo = mutable.ArrayBuffer.empty[Stored]

@@ -37,8 +37,10 @@ final class HoeffdingTree(
 
   private val rng = new Random(seed)
 
+  private var splits = 0L
+
   /** Structural-change counter: number of splits performed so far. */
-  var splitEvents: Long = 0L
+  def splitEvents: Long = splits
 
   private[classifier] sealed trait Node extends Serializable {
     /** Class counts of observations routed through this node. */
@@ -306,7 +308,7 @@ final class HoeffdingTree(
     if (parent == null) root = split
     else if (parent.left eq leaf) parent.left = split
     else parent.right = split
-    splitEvents += 1
+    splits += 1
   }
 }
 

@@ -45,6 +45,13 @@ final class RunningVec(val dim: Int) extends Serializable {
 /** Everything the repository stores per concept (paper Alg. 1 line 26):
   * the concept fingerprint, its classifier, the normal-similarity record,
   * plus the F_SC statistics feeding the intra-classifier weight v_sc.
+  *
+  * It also owns the concept's lifecycle (DESIGN.md §4, freeze-after-budget).
+  * A new concept is *open*: [[absorb]] incorporates each fingerprint into
+  * `stats`. After its budget it *freezes*, and [[absorb]] records the
+  * normal similarity instead. Once that record is complete the concept is
+  * [[armed]] and absorbs nothing. [[onSplit]] (classifier growth, §IV) and
+  * [[markActivated]] (re-selection at a drift) re-open it.
   */
 final class ConceptState(
     val id: Int,
@@ -62,9 +69,6 @@ final class ConceptState(
   /** Normal similarity record (μ_c, σ_c), each sample at unit weight. */
   val simStats = new repro.classifier.GaussianEstimator
 
-  /** splitEvents value at the last plasticity reset. */
-  var seenSplitEvents: Long = classifier.splitEvents
-
   /** Retained raw sample fingerprints (paper §IV): at model-selection time
     * the self-similarity band is recomputed from these under the *current*
     * weighting scheme, so stored similarity records never go stale as the
@@ -72,26 +76,23 @@ final class ConceptState(
     */
   val sampleFps = scala.collection.mutable.ArrayBuffer.empty[Array[Double]]
 
-  def addSample(fp: Array[Double]): Unit = {
-    if (sampleFps.length >= ConceptState.MaxSamples) sampleFps.remove(0)
-    sampleFps += fp
-  }
+  /** splitEvents value at the last plasticity reset. */
+  private var seenSplitEvents: Long = classifier.splitEvents
 
   /** Remaining fingerprint-incorporation budget. The concept fingerprint
     * trains on a bounded number of windows per (re)activation and then
     * freezes; a frozen reference makes post-drift dissimilarity persistent,
     * so the detector accumulates evidence instead of racing a
-    * representation that would otherwise absorb the emerging concept
-    * (DESIGN.md §4). Classifier splits re-open the budget (plasticity).
+    * representation that would otherwise absorb the emerging concept.
     */
-  var openRemaining: Int = ConceptState.InitialBudget
+  private var openRemaining: Int = ConceptState.InitialBudget
 
   /** Total budget granted since this concept was last (re)activated. Split
-    * re-openings stop once this exceeds [[ConceptState.MaxPerActivation]],
+    * re-openings stop once this reaches [[ConceptState.MaxPerActivation]],
     * otherwise a steadily growing tree would keep the concept unfrozen
     * forever and detection would never arm.
     */
-  var openedSinceActivation: Int = ConceptState.InitialBudget
+  private var openedSinceActivation: Int = ConceptState.InitialBudget
 
   /** Remaining normal-similarity samples to record. The record (μ_c, σ_c)
     * is collected just after the fingerprint freezes — open-phase sims have
@@ -99,35 +100,84 @@ final class ConceptState(
     * it accepts anything, and late samples risk absorbing an undetected
     * drift.
     */
-  var simBudget: Int = ConceptState.SimBudget
+  private var simBudget: Int = ConceptState.SimBudget
+
+  /** EWMA of the recorded similarities; each open-phase fingerprint resets it. */
+  private var normEwma: Double = Double.NaN
 
   def frozen: Boolean = openRemaining <= 0
 
-  def grantBudget(n: Int): Unit = {
-    if (openedSinceActivation >= ConceptState.MaxPerActivation) return
-    val grant = math.max(0, n - openRemaining)
-    openRemaining += grant
-    openedSinceActivation += grant
+  /** The normal-similarity record and sample fingerprints are complete, so
+    * detection against this concept may call a drift.
+    */
+  def armed: Boolean = simBudget <= 0
+
+  /** Takes in one fingerprint of this concept while it is active. Open:
+    * incorporate `fp` into `stats`. Frozen and not yet armed: record the
+    * EWMA-smoothed `sim(fp)` — the *level* of normal similarity rather than
+    * single-window sampling noise — and keep every third `fp` as a sample.
+    * Armed: nothing.
+    */
+  def absorb(fp: Array[Double], sim: Array[Double] => Double): Unit =
+    if (!frozen) {
+      stats.add(fp)
+      openRemaining -= 1
+      normEwma = Double.NaN
+    } else if (simBudget > 0) {
+      val s = sim(fp)
+      normEwma = if (normEwma.isNaN) s else 0.7 * normEwma + 0.3 * s
+      simStats.add(normEwma)
+      if (simBudget % 3 == 0) sampleFps += fp
+      if (sampleFps.length > ConceptState.MaxSamples) sampleFps.remove(0)
+      simBudget -= 1
+    }
+
+  /** Plasticity (§IV): acts once per classifier split since the last call,
+    * and returns whether it acted. The soft decay of `dims` keeps their μ/σ
+    * but lets new fingerprints move them faster, and the re-opened budget
+    * lets the frozen representation absorb the new behaviour. A
+    * `suspicious` split keeps the concept frozen: it usually means the tree
+    * is learning an undetected emerging concept, and absorbing those
+    * windows would poison this concept's representation.
+    */
+  def onSplit(dims: IterableOnce[Int], suspicious: Boolean): Boolean = {
+    if (classifier.splitEvents <= seenSplitEvents) return false
+    seenSplitEvents = classifier.splitEvents
+    stats.decayDims(dims, 0.3)
+    if (!suspicious) reopen(ConceptState.SplitBudget)
+    true
   }
 
+  /** Re-selection at a drift: re-open [[ConceptState.ReuseBudget]] and
+    * record [[ConceptState.SimBudget]] / 3 similarities after it. A concept
+    * leaves the active slot only armed (its record done) or to be discarded
+    * as a fresh concept, so the record restarts from an empty budget.
+    */
   def markActivated(): Unit = {
     openedSinceActivation = 0
-    grantBudget(ConceptState.ReuseBudget)
-    simBudget = math.max(simBudget, ConceptState.SimBudget / 3)
+    reopen(ConceptState.ReuseBudget)
+    simBudget = ConceptState.SimBudget / 3
   }
+
+  private def reopen(n: Int): Unit =
+    if (openedSinceActivation < ConceptState.MaxPerActivation) {
+      val grant = math.max(0, n - openRemaining)
+      openRemaining += grant
+      openedSinceActivation += grant
+    }
 }
 
 object ConceptState {
   /** Fingerprints incorporated after concept creation (≈90 obs at P_C=3). */
-  val InitialBudget = 30
+  private[core] val InitialBudget = 30
   /** Budget re-opened when the classifier grows a branch (§IV plasticity). */
-  val SplitBudget = 10
+  private[core] val SplitBudget = 10
   /** Budget re-opened when a stored concept is re-selected at a drift. */
-  val ReuseBudget = 10
+  private[core] val ReuseBudget = 10
   /** Max budget per activation; beyond this, split events no longer re-open. */
-  val MaxPerActivation = 60
+  private[core] val MaxPerActivation = 60
   /** Normal-similarity samples recorded after each freeze. */
-  val SimBudget = 30
+  private[core] val SimBudget = 30
   /** Sample fingerprints retained for the self-similarity band. */
-  val MaxSamples = 8
+  private[core] val MaxSamples = 8
 }

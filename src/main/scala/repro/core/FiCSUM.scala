@@ -64,7 +64,6 @@ final class FiCSUM(
 
   private var lastWeights: Array[Double] = Array.fill(spec.dim)(1.0)
   private var simEwma: Double = Double.NaN
-  private var normEwma: Double = Double.NaN
   private var breachCount: Int = 0
   /** The concept created at the last drift and the step of its second check. */
   private var secondCheckDue: Option[(ConceptState, Long)] = None
@@ -134,28 +133,6 @@ final class FiCSUM(
     else Some(candidates.maxBy { case (_, sim, _, _) => sim }._1)
   }
 
-  private def plasticityCheck(): Unit = {
-    if (active.classifier.splitEvents > active.seenSplitEvents) {
-      // The classifier changed structurally (§IV): increase the plasticity
-      // of the classifier-dependent dims (soft decay keeps μ/σ but lets new
-      // fingerprints move them faster) and re-open the incorporation budget
-      // so the frozen representation can absorb the new behaviour.
-      // Only re-open incorporation when similarity is currently normal: a
-      // split while similarity is suppressed usually means the tree is
-      // learning an *undetected emerging concept*, and absorbing those
-      // windows would poison this concept's representation.
-      val suspicious = active.simStats.weight >= 2 && !simEwma.isNaN &&
-        simEwma < active.simStats.mean - 2 * active.simStats.stdDev - 0.05
-      active.stats.decayDims(spec.classifierDependentDims, 0.3)
-      if (!suspicious) active.grantBudget(ConceptState.SplitBudget)
-      active.seenSplitEvents = active.classifier.splitEvents
-      // A split shifts classifier-dependent dims benignly for a while; give
-      // the fast breach path extra patience so it does not race the
-      // plasticity absorption (ADWIN still guards real drifts).
-      breachCount = math.min(breachCount, -10)
-    }
-  }
-
   private def restartDetector(): Unit = {
     adwin = new Adwin(AdwinDelta)
     simEwma = Double.NaN
@@ -200,25 +177,20 @@ final class FiCSUM(
       val fB = Fingerprinter.make(spec, rows.take(w), contribs.take(w))
       normalizer.update(fA)
       normalizer.update(fB)
-      plasticityCheck()
+      // Plasticity (§IV): a split while similarity sits below the concept's
+      // normal band is suspicious. Any split shifts classifier-dependent
+      // dims benignly for a while, so the fast breach path gets extra
+      // patience and does not race the absorption (ADWIN still guards real
+      // drifts).
+      val suspicious = active.simStats.weight >= 2 && !simEwma.isNaN &&
+        simEwma < active.simStats.mean - 2 * active.simStats.stdDev - 0.05
+      if (active.onSplit(spec.classifierDependentDims, suspicious)) breachCount = math.min(breachCount, -10)
       val weights = DynamicWeights.compute(active, repo.toIndexedSeq, normalizer)
       lastWeights = weights
 
-      // Bounded incorporation (freeze-after-budget, DESIGN.md §4).
-      if (!active.frozen) {
-        active.stats.add(fB)
-        active.openRemaining -= 1
-        normEwma = Double.NaN
-      } else if (active.simBudget > 0) {
-        // Normal-similarity record (μ_c, σ_c): early frozen-phase only,
-        // EWMA-smoothed to estimate the *level* of normal similarity rather
-        // than single-window sampling noise.
-        val normSim = simTo(active, fB, weights)
-        normEwma = if (normEwma.isNaN) normSim else 0.7 * normEwma + 0.3 * normSim
-        active.simStats.add(normEwma)
-        if (active.simBudget % 3 == 0) active.addSample(fB)
-        active.simBudget -= 1
-      }
+      // Bounded incorporation, then the normal-similarity record
+      // (freeze-after-budget, DESIGN.md §4).
+      active.absorb(fB, simTo(active, _, weights))
 
       // Detection runs only against a *frozen* reference with a complete
       // normal-similarity record: during the open phase both the classifier
@@ -247,8 +219,7 @@ final class FiCSUM(
         // sample fingerprints are complete; before that ADWIN just warms up
         // on stationary values so arming starts from a real baseline
         // instead of cutting on its first few (still-settling) values.
-        val armed = active.simBudget <= 0
-        if (armed && (cut || breachCount >= 5)) onDrift()
+        if (active.armed && (cut || breachCount >= 5)) onDrift()
       }
     }
 

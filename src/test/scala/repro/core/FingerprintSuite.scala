@@ -135,28 +135,126 @@ class RunningVecSpec extends AnyFunSuite {
     assert(math.abs(rv.count(0) - c * 0.3) < 1e-9)
   }
 
-  test("ConceptState budget mechanics") {
-    val cs = new ConceptState(0, 4, new repro.classifier.HoeffdingTree(2, 2))
-    assert(!cs.frozen && cs.openRemaining == ConceptState.InitialBudget)
-    cs.openRemaining = 0
-    assert(cs.frozen)
-    cs.grantBudget(ConceptState.SplitBudget)
-    assert(cs.openRemaining == ConceptState.SplitBudget)
-    // Exhaust the per-activation cap; further grants are ignored.
-    cs.openedSinceActivation = ConceptState.MaxPerActivation
-    cs.openRemaining = 0
-    cs.grantBudget(ConceptState.SplitBudget)
-    assert(cs.frozen)
-    // Re-activation restarts the per-activation count, so its grant lands.
-    cs.markActivated()
-    assert(cs.openRemaining == ConceptState.ReuseBudget)
-    assert(cs.openedSinceActivation == ConceptState.ReuseBudget)
+  // ConceptState's lifecycle, driven only through absorb, onSplit and
+  // markActivated.
+  import ConceptState.{InitialBudget, MaxPerActivation, MaxSamples, ReuseBudget, SimBudget, SplitBudget}
+
+  private val noSim: Array[Double] => Double = _ => fail("sim called while the concept is open")
+
+  /** Absorbs fingerprints until `cs` freezes; returns how many it took in. */
+  private def drainOpen(cs: ConceptState): Int = {
+    var n = 0
+    while (!cs.frozen) { cs.absorb(Array.fill(cs.dim)(n.toDouble), noSim); n += 1 }
+    n
+  }
+
+  /** Absorbs frozen-phase fingerprints until `cs` is armed; returns how many similarities it recorded. */
+  private def recordUntilArmed(cs: ConceptState): Int = {
+    var calls = 0
+    var n = 0
+    while (!cs.armed) {
+      assert(n < 1000, "the concept never armed")
+      cs.absorb(Array.fill(cs.dim)(0.0), _ => { calls += 1; 0.5 })
+      n += 1
+    }
+    calls
+  }
+
+  /** A concept whose tree learns a deep random-tree concept one split at a time. */
+  private final class Growing {
+    private val concept = new repro.stream.RandomTreeConcept(4, 3, maxDepth = 12)
+    private val rng = new scala.util.Random(6)
+    private var t = 0
+    val cs = new ConceptState(0, 3, new repro.classifier.HoeffdingTree(3, 2,
+      repro.classifier.HoeffdingTreeConfig(gracePeriod = 20)))
+    def split(): Unit = {
+      val before = cs.classifier.splitEvents
+      while (cs.classifier.splitEvents == before) {
+        assert(t < 100000, "the tree stopped splitting")
+        val o = concept.next(rng, t)
+        cs.classifier.train(o.x, o.y)
+        t += 1
+      }
+      assert(cs.classifier.splitEvents == before + 1)
+    }
+  }
+
+  test("a new concept absorbs InitialBudget fingerprints, records SimBudget similarities, then is armed") {
+    val cs = new ConceptState(0, 2, new repro.classifier.HoeffdingTree(2, 2))
+    assert(!cs.frozen && !cs.armed)
+    assert(drainOpen(cs) == InitialBudget)
+    assert(cs.stats.totalCount == InitialBudget && cs.simStats.weight == 0 && cs.sampleFps.isEmpty)
+
+    val record = (0 until SimBudget).map(k => Array(k.toDouble, 1.0))
+    var calls = 0
+    val sim = (fp: Array[Double]) => { calls += 1; math.sin(fp(0)) }
+    record.foreach { fp => assert(!cs.armed); cs.absorb(fp, sim) }
+    assert(cs.armed && calls == SimBudget && cs.stats.totalCount == InitialBudget)
+    // Each record is the 0.7/0.3 EWMA of the similarities so far.
+    val expected = new repro.classifier.GaussianEstimator
+    record.map(fp => math.sin(fp(0))).scanLeft(Double.NaN)((e, s) => if (e.isNaN) s else 0.7 * e + 0.3 * s)
+      .tail.foreach(expected.add(_))
+    assert(cs.simStats.weight == SimBudget)
+    assert(cs.simStats.mean == expected.mean && cs.simStats.stdDev == expected.stdDev)
+
+    // Armed: further fingerprints change nothing.
+    val samples = cs.sampleFps.toList
+    (0 until 50).foreach(k => cs.absorb(Array(k.toDouble, 2.0), noSim))
+    assert(cs.armed && cs.frozen && cs.stats.totalCount == InitialBudget)
+    assert(cs.simStats.weight == SimBudget && cs.simStats.mean == expected.mean)
+    assert(cs.sampleFps.toList == samples)
   }
 
   test("ConceptState sample ring buffer caps") {
     val cs = new ConceptState(0, 2, new repro.classifier.HoeffdingTree(2, 2))
-    (0 until 12).foreach(i => cs.addSample(Array(i.toDouble, 0.0)))
-    assert(cs.sampleFps.length == ConceptState.MaxSamples)
-    assert(cs.sampleFps.head(0) == 12.0 - ConceptState.MaxSamples) // oldest evicted
+    drainOpen(cs)
+    val record = (0 until SimBudget).map(k => Array(k.toDouble, 0.0))
+    record.foreach(cs.absorb(_, _ => 0.5))
+    // Every third fingerprint is a sample, and only the last MaxSamples stay.
+    val kept = record.indices.filter(_ % 3 == 0).map(record).takeRight(MaxSamples)
+    assert(record.indices.count(_ % 3 == 0) > MaxSamples)
+    assert(cs.sampleFps.length == MaxSamples && cs.sampleFps.indices.forall(k => cs.sampleFps(k) eq kept(k)))
+    assert(cs.sampleFps.head(0) == 3.0 * (SimBudget / 3 - MaxSamples)) // oldest evicted
+  }
+
+  test("onSplit acts once per split, decays only the given dims, and re-opens SplitBudget unless suspicious") {
+    val g = new Growing
+    val cs = g.cs
+    assert(!cs.onSplit(Seq(1), suspicious = false))
+    drainOpen(cs)
+    val (count0, count1, mean1) = (cs.stats.count(0), cs.stats.count(1), cs.stats.mean(1))
+
+    g.split()
+    assert(cs.onSplit(Seq(1), suspicious = true))
+    assert(!cs.onSplit(Seq(1), suspicious = false))
+    assert(cs.frozen, "a suspicious split keeps the concept frozen")
+    assert(cs.stats.count(0) == count0 && cs.stats.count(1) == count1 * 0.3 && cs.stats.mean(1) == mean1)
+
+    g.split()
+    assert(cs.onSplit(Seq(2), suspicious = false))
+    assert(!cs.onSplit(Seq(2), suspicious = false))
+    assert(drainOpen(cs) == SplitBudget)
+  }
+
+  // Split re-openings stop at MaxPerActivation, and markActivated re-opens
+  // ReuseBudget and SimBudget / 3 records.
+  test("ConceptState budget mechanics") {
+    val g = new Growing
+    val cs = g.cs
+    assert(drainOpen(cs) == InitialBudget)
+    val reopenings = (MaxPerActivation - InitialBudget) / SplitBudget
+    (0 until reopenings + 2).foreach { k =>
+      g.split()
+      assert(cs.onSplit(Seq(0), suspicious = false))
+      assert(drainOpen(cs) == (if (k < reopenings) SplitBudget else 0), s"split $k")
+    }
+    assert(recordUntilArmed(cs) == SimBudget)
+
+    cs.markActivated()
+    assert(!cs.armed && drainOpen(cs) == ReuseBudget)
+    assert(recordUntilArmed(cs) == SimBudget / 3 && cs.simStats.weight == SimBudget + SimBudget / 3)
+    // The re-activation restarted the per-activation count: splits re-open again.
+    g.split()
+    assert(cs.onSplit(Seq(0), suspicious = false) && drainOpen(cs) == SplitBudget)
   }
 }

@@ -58,7 +58,13 @@ class RunnerSpec extends AnyFunSuite {
   * fingerprint computation was made to run once per step. The RTREE-U
   * baseline rows (continuous d=10 features: ARF's subspace drops features
   * and RCD's KS test sees continuous data) were recorded before the
-  * baselines' settings became constants.
+  * baselines' settings became constants. The RTREE-U FiCSUM and U-MI rows
+  * and the QG ER row were recorded before a concept's lifecycle moved into
+  * `ConceptState`, so that more cells reach the branches that moved: RTREE-U
+  * U-MI and QG ER each withhold one split re-opening (a "suspicious" split),
+  * which before them only the STAGGER fn:Entropy of IMFs and fn:Shapley Value
+  * rows did, and RTREE-U FiCSUM re-activates stored concepts and has
+  * re-openings refused by the per-activation cap.
   */
 class GoldenOutcomeSpec extends AnyFunSuite {
   import java.lang.Double.doubleToLongBits
@@ -84,10 +90,14 @@ class GoldenOutcomeSpec extends AnyFunSuite {
     ("RCD", 0x3fecd9d47d8b6dd5L, 0x3fd2492492492491L, 0x7ff8000000000000L, 1),
     ("DWM", 0x3feb794e1f52f5e9L, 0x3fd2492492492491L, 0x7ff8000000000000L, 1),
     ("ARF", 0x3fec873f195636c2L, 0x3fd2492492492491L, 0x7ff8000000000000L, 1),
-  ).map(("RTREE-U", _))
+    ("FiCSUM", 0x3fe978f4d4765913L, 0x3fe9ac80430d625dL, 0x402dfb53d856f4f1L, 18),
+    ("U-MI", 0x3fe944a93e985743L, 0x3fe4b33112890093L, 0x403c20a4c4310630L, 13),
+  ).map(("RTREE-U", _)) ++ Seq(
+    ("ER", 0x3fdfc471d3aed7f4L, 0x3fd03560b24ae972L, 0x403446a9434d8236L, 3),
+  ).map(("QG", _))
 
   private lazy val streams = Map("STAGGER" -> Datasets.stagger.build(1), "AQSex" -> Datasets.aqSex.build(1),
-    "RTREE-U" -> Datasets.rtreeU.build(1))
+    "RTREE-U" -> Datasets.rtreeU.build(1), "QG" -> Datasets.qg.build(1))
 
   for ((dataset, (system, kappa, cF1, disc, models)) <- golden)
     test(s"$dataset seed 1 $system outcome is bit-identical to the recorded one") {
