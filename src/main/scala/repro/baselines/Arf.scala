@@ -35,7 +35,8 @@ final class Arf(numFeatures: Int, numClasses: Int, seed: Long = 42) extends Stre
 
   private val members = Array.tabulate(NumTrees)(t => new Member(seed * 31 + t))
 
-  var driftCount: Int = 0
+  private var drifts = 0
+  def driftCount: Int = drifts
 
   /** Poisson(λ) draw via inversion (λ=6 ⇒ cheap). */
   private def poisson(): Int = {
@@ -65,8 +66,8 @@ final class Arf(numFeatures: Int, numClasses: Int, seed: Long = 42) extends Stre
       val err = if (preds(t) != y) 1.0 else 0.0
       m.seen += 1; if (err == 0) m.correct += 1
       if (m.adwin.add(err)) {
-        driftCount += 1
-        m.reset(seed * 131 + driftCount)
+        drifts += 1
+        m.reset(seed * 131 + drifts)
       }
       val k = poisson()
       if (k > 0) m.tree.train(x, y, k.toDouble)

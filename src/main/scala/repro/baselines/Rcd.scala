@@ -28,7 +28,8 @@ final class Rcd(numFeatures: Int, numClasses: Int, seed: Long = 42) extends Stre
   private val eddm = new Eddm()
   private val recent = new mutable.ArrayDeque[Array[Double]]()
 
-  var driftCount: Int = 0
+  private var drifts = 0
+  def driftCount: Int = drifts
 
   /** Two-sample KS statistic on one feature. */
   private def ksStat(a: Array[Double], b: Array[Double]): Double = {
@@ -75,7 +76,7 @@ final class Rcd(numFeatures: Int, numClasses: Int, seed: Long = 42) extends Stre
     if (recent.length > WindowSize) recent.removeHead()
 
     if (eddm.add(if (l != y) 1.0 else 0.0) && recent.length >= WindowSize) {
-      driftCount += 1
+      drifts += 1
       val cur = recent.toArray
       // Archive the outgoing model with its window.
       repo += new Stored(activeId, tree, cur)

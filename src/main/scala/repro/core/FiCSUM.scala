@@ -2,7 +2,6 @@ package repro.core
 
 import scala.collection.mutable
 import repro.classifier.{HoeffdingTree, HoeffdingTreeConfig}
-import repro.detector.Adwin
 import repro.eval.{Metrics, Probeable, ProbeResult, StreamSystem}
 
 /** FiCSUM parameters (paper §VI-2). Window/gap defaults are the paper's
@@ -47,7 +46,7 @@ final class FiCSUM(
   private var i   = 0L
 
   private val normalizer = new Normalizer(spec.dim)
-  private var adwin      = new Adwin(AdwinDelta)
+  private var detector   = new SimilarityDetector
 
   private var nextId = 0
   private val repo   = mutable.ArrayBuffer.empty[ConceptState]
@@ -63,17 +62,17 @@ final class FiCSUM(
   private var active: ConceptState = newConcept()
 
   private var lastWeights: Array[Double] = Array.fill(spec.dim)(1.0)
-  private var simEwma: Double = Double.NaN
-  private var breachCount: Int = 0
-  /** The concept created at the last drift and the step of its second check. */
-  private var secondCheckDue: Option[(ConceptState, Long)] = None
+  /** The concept created at the last drift, until its second check. */
+  private var fresh: Option[ConceptState] = None
 
-  /** Number of drift detections so far (diagnostics). */
-  var driftCount: Int = 0
+  private var drifts = 0
+  private var fingerprints = 0L
+  private var detectorAdds = 0L
 
-  /** Diagnostics counters. */
-  var fingerprintUpdates: Long = 0
-  var detectorUpdates: Long = 0
+  /** Diagnostics: drifts, fingerprint updates and detector updates so far. */
+  def driftCount: Int = drifts
+  def fingerprintUpdates: Long = fingerprints
+  def detectorUpdates: Long = detectorAdds
 
   /** Repository size (diagnostics). */
   def repositorySize: Int = repo.length
@@ -108,10 +107,9 @@ final class FiCSUM(
     // Average the tested similarity over staggered sub-windows of the
     // buffer to cut single-window sampling noise before the band test.
     val all = buf.toIndexedSeq
-    val offsets =
-      if (all.length >= w + 2) Seq(0, (all.length - w) / 2, all.length - w).distinct
-      else Seq(math.max(0, all.length - w))
-    val tested = repo.filter(s => !exclude.contains(s) && s.stats.sigmaDefined && s.sampleFps.nonEmpty)
+    val offsets = Seq(0, (all.length - w) / 2, all.length - w).distinct
+    // Every stored concept left the active slot armed, so it has σ and samples.
+    val tested = repo.filter(s => !exclude.contains(s))
     val scored = tested.zip(foreignFingerprints(all, offsets, tested)).map { case (s, fps) =>
       // Per-candidate weights (w_σ is the *candidate's* per-dim scale) and
       // a self-similarity band recomputed from retained sample
@@ -133,27 +131,21 @@ final class FiCSUM(
     else Some(candidates.maxBy { case (_, sim, _, _) => sim }._1)
   }
 
-  private def restartDetector(): Unit = {
-    adwin = new Adwin(AdwinDelta)
-    simEwma = Double.NaN
-    breachCount = 0
-  }
-
   private def onDrift(): Unit = {
-    restartDetector()
+    detector = new SimilarityDetector
     val chosen = selectModel(exclude = None)
     // The recent window still matches the active concept's normal band: a
     // detector false alarm. Keep the representation and buffers; only the
     // detector restarts, so false alarms are nearly free.
     if (chosen.exists(_ eq active)) return
-    driftCount += 1
+    drifts += 1
     chosen match {
       case Some(s) =>
         active = s
         active.markActivated()
       case None =>
         active = newConcept()
-        secondCheckDue = Some((active, i + w))
+        fresh = Some(active)
     }
     buf.clear()
   }
@@ -169,7 +161,7 @@ final class FiCSUM(
 
     val full = buf.length == b + w
     if (full && i % FingerprintGap == 0) {
-      fingerprintUpdates += 1
+      fingerprints += 1
       // Each buffer row is attributed once; A is the tail window, B the head.
       val rows = buf.toIndexedSeq
       val contribs = Fingerprinter.contributions(spec, rows, active.classifier)
@@ -177,14 +169,9 @@ final class FiCSUM(
       val fB = Fingerprinter.make(spec, rows.take(w), contribs.take(w))
       normalizer.update(fA)
       normalizer.update(fB)
-      // Plasticity (§IV): a split while similarity sits below the concept's
-      // normal band is suspicious. Any split shifts classifier-dependent
-      // dims benignly for a while, so the fast breach path gets extra
-      // patience and does not race the absorption (ADWIN still guards real
-      // drifts).
-      val suspicious = active.simStats.weight >= 2 && !simEwma.isNaN &&
-        simEwma < active.simStats.mean - 2 * active.simStats.stdDev - 0.05
-      if (active.onSplit(spec.classifierDependentDims, suspicious)) breachCount = math.min(breachCount, -10)
+      // Plasticity (§IV): a split is suspicious while the similarity sits
+      // below the concept's normal band; every handled split holds breaches.
+      if (active.onSplit(spec.classifierDependentDims, detector.suspicious(active.simStats))) detector.holdBreaches()
       val weights = DynamicWeights.compute(active, repo.toIndexedSeq, normalizer)
       lastWeights = weights
 
@@ -200,26 +187,12 @@ final class FiCSUM(
       // collected would leave early (false) detections without a usable
       // recurrence band, spawning garbage concepts.
       if (active.frozen && active.stats.sigmaDefined && active.simStats.weight >= 2) {
-        detectorUpdates += 1
-        val simA = simTo(active, fA, weights)
-        // EWMA smoothing: consecutive fingerprints overlap by w−P_C
-        // observations, so raw sims carry heavy-tailed sampling noise that
-        // slows ADWIN's cut; smoothing trades a little lag for a much
-        // cleaner level shift.
-        simEwma = if (simEwma.isNaN) simA else 0.6 * simEwma + 0.4 * simA
-        // Fast path: a deep, sustained breach of the concept's normal
-        // similarity band is called immediately rather than waiting for
-        // ADWIN's conservative bound to catch up — at these segment lengths
-        // detection lag directly caps concept-tracking (C-F1).
-        if (simEwma < active.simStats.mean - math.max(3 * active.simStats.stdDev, 0.1))
-          breachCount += 1
-        else breachCount = 0
-        val cut = adwin.add(simEwma)
+        detectorAdds += 1
         // Detection is armed only once the normal-similarity record and
         // sample fingerprints are complete; before that ADWIN just warms up
         // on stationary values so arming starts from a real baseline
         // instead of cutting on its first few (still-settling) values.
-        if (active.armed && (cut || breachCount >= 5)) onDrift()
+        if (detector.add(simTo(active, fA, weights), active.simStats) && active.armed) onDrift()
       }
     }
 
@@ -234,16 +207,10 @@ final class FiCSUM(
     // Second check (paper Alg. 1): once A is fully drawn from the emerging
     // segment, a found recurrence replaces the freshly created concept. The
     // drift cleared the buffer and detection needs b + w rows, so no drift
-    // fires before this step: `fresh` is still active and the buffer holds
-    // exactly w rows.
-    secondCheckDue match {
-      case Some((fresh, due)) if i >= due =>
-        selectModel(exclude = Some(fresh)).foreach { s =>
-          repo -= fresh
-          active = s
-        }
-        secondCheckDue = None
-      case _ => ()
+    // fires before the buffer holds w rows again, and `fresh` is still active.
+    if (buf.length == w) fresh.foreach { f =>
+      selectModel(exclude = Some(f)).foreach { s => repo -= f; active = s }
+      fresh = None
     }
 
     (l, active.id)
@@ -268,8 +235,6 @@ object FiCSUM {
   private[core] val BufferRatio = 0.25
   /** P_C: steps between fingerprints (as in the paper). */
   private val FingerprintGap = 3
-  /** ADWIN δ on the smoothed similarity sequence. */
-  private val AdwinDelta = 0.8
   /** Floor on the ±2σ acceptance band so freshly-created concepts with
     * near-zero σ are not unmatchable (stands in for paper §IV's
     * similarity-record transform).
