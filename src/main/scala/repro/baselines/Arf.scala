@@ -16,21 +16,16 @@ final class Arf(numFeatures: Int, numClasses: Int, seed: Long = 42) extends Stre
 
   val name = "ARF"
 
-  private val subspace = math.ceil(math.sqrt(numFeatures)).toInt + 1
-  private val cfg = HoeffdingTreeConfig(featureSubsetSize = math.min(subspace, numFeatures))
+  // A subset of d or more features is every feature (`Leaf.candidateFeatures`).
+  private val cfg = HoeffdingTreeConfig(featureSubsetSize = math.ceil(math.sqrt(numFeatures)).toInt + 1)
   private val rng = new Random(seed)
 
   private final class Member(memberSeed: Long) extends Serializable {
-    var tree = new HoeffdingTree(numFeatures, numClasses, cfg, memberSeed)
-    var adwin = new Adwin(AdwinDelta)
+    val tree = new HoeffdingTree(numFeatures, numClasses, cfg, memberSeed)
+    val adwin = new Adwin(AdwinDelta)
     var correct = 1.0
     var seen    = 2.0
     def accWeight: Double = correct / seen
-    def reset(newSeed: Long): Unit = {
-      tree = new HoeffdingTree(numFeatures, numClasses, cfg, newSeed)
-      adwin = new Adwin(AdwinDelta)
-      correct = 1.0; seen = 2.0
-    }
   }
 
   private val members = Array.tabulate(NumTrees)(t => new Member(seed * 31 + t))
@@ -62,12 +57,13 @@ final class Arf(numFeatures: Int, numClasses: Int, seed: Long = 42) extends Stre
 
     t = 0
     while (t < NumTrees) {
-      val m = members(t)
+      var m = members(t)
       val err = if (preds(t) != y) 1.0 else 0.0
       m.seen += 1; if (err == 0) m.correct += 1
       if (m.adwin.add(err)) {
         drifts += 1
-        m.reset(seed * 131 + drifts)
+        m = new Member(seed * 131 + drifts)
+        members(t) = m
       }
       val k = poisson()
       if (k > 0) m.tree.train(x, y, k.toDouble)

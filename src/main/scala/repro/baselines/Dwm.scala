@@ -46,9 +46,10 @@ final class Dwm(numFeatures: Int, numClasses: Int, seed: Long = 42) extends Stre
         e += 1
       }
       val mx = experts.map(_.weight).max
-      if (mx > 0) experts.foreach(ex => ex.weight /= mx)
+      experts.foreach(ex => ex.weight /= mx)
+      // Every weight is ≥ θβ > 0, so the best now weighs exactly 1.0 ≥ θ and survives.
       experts.filterInPlace(_.weight >= Theta)
-      if (experts.isEmpty || global != y) {
+      if (global != y) {
         if (experts.length >= MaxExperts) {
           val worst = experts.minBy(_.weight)
           experts -= worst

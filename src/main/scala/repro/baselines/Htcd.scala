@@ -17,14 +17,13 @@ final class Htcd(numFeatures: Int, numClasses: Int, seed: Long = 42) extends Str
   private var tree    = new HoeffdingTree(numFeatures, numClasses, seed = seed)
   private var adwin   = new Adwin(AdwinDelta)
 
-  private var drifts = 0
-  def driftCount: Int = drifts
+  /** Every drift starts the next model id. */
+  def driftCount: Int = modelId
 
   def step(x: Array[Double], y: Int): (Int, Int) = {
     val l = tree.predict(x)
     tree.train(x, y)
     if (adwin.add(if (l != y) 1.0 else 0.0)) {
-      drifts += 1
       modelId += 1
       tree = new HoeffdingTree(numFeatures, numClasses, seed = seed + modelId)
       adwin = new Adwin(AdwinDelta)

@@ -130,6 +130,25 @@ final class HoeffdingTree(
 
     def leafProba(x: Array[Double]): Array[Double] =
       if (totalWeight >= NbThreshold && nbCorrect >= mcCorrect) nbProba(x) else proba
+
+    /** Writes each class's mass on either side of `threshold` on feature `f`
+      * into `left` and `right`, by the class Gaussians; 0 for an unseen class.
+      */
+    def divide(f: Int, threshold: Double, left: Array[Double], right: Array[Double]): Unit = {
+      var c = 0
+      while (c < numClasses) {
+        val w = classCounts(c)
+        if (w > 0) {
+          val pl = observers(f)(c).cdf(threshold)
+          left(c) = w * pl
+          right(c) = w * (1 - pl)
+        } else {
+          left(c) = 0.0
+          right(c) = 0.0
+        }
+        c += 1
+      }
+    }
   }
 
   private[classifier] final class Split(
@@ -244,19 +263,7 @@ final class HoeffdingTree(
       var k = 1
       while (k <= NumSplitPoints) {
         val thr = lo + (hi - lo) * k / (NumSplitPoints + 1)
-        var c = 0
-        while (c < numClasses) {
-          val w = leaf.classCounts(c)
-          if (w > 0) {
-            val pl = leaf.observers(f)(c).cdf(thr)
-            lCounts(c) = w * pl
-            rCounts(c) = w * (1 - pl)
-          } else {
-            lCounts(c) = 0.0
-            rCounts(c) = 0.0
-          }
-          c += 1
-        }
+        leaf.divide(f, thr, lCounts, rCounts)
         val wl = sum(lCounts); val wr = sum(rCounts)
         if (wl > 1e-9 && wr > 1e-9) {
           val gain = hParent - (wl / totW) * entropy(lCounts) - (wr / totW) * entropy(rCounts)
@@ -269,10 +276,10 @@ final class HoeffdingTree(
   }
 
   private def attemptSplit(leaf: Leaf, parent: Split): Unit = {
-    val totW = leaf.totalWeight
-    if (totW <= 0) return
     // Pure leaf — nothing to gain.
     if (leaf.classCounts.count(_ > 0) <= 1) return
+    // Two classes hold positive weight, so totW > 0.
+    val totW = leaf.totalWeight
 
     val search = new SplitSearch(leaf, totW)
     var bestGain = -1.0; var bestThr = 0.0; var bestF = -1
@@ -282,7 +289,8 @@ final class HoeffdingTree(
       if (g > bestGain) { second = bestGain; bestGain = g; bestThr = thr; bestF = f }
       else if (g > second) second = g
     }
-    if (bestF < 0 || bestGain <= 0) return
+    // The candidates are never empty and a gain (≥ 0) beats −1, so bestF ≥ 0.
+    if (bestGain <= 0) return
     val range = math.log(numClasses.toDouble) / Ln2
     val eps = math.sqrt(range * range * math.log(1.0 / SplitConfidence) / (2.0 * totW))
     if (bestGain - math.max(second, 0.0) > eps || eps < TieThreshold) {
@@ -295,16 +303,7 @@ final class HoeffdingTree(
     Array.copy(leaf.classCounts, 0, split.classCounts, 0, numClasses)
     // Seed children with the parent's class-conditional mass on each side so
     // fresh leaves predict sensibly before retraining.
-    var c = 0
-    while (c < numClasses) {
-      val w = leaf.classCounts(c)
-      if (w > 0) {
-        val pl = leaf.observers(feature)(c).cdf(threshold)
-        split.left.classCounts(c) = w * pl
-        split.right.classCounts(c) = w * (1 - pl)
-      }
-      c += 1
-    }
+    leaf.divide(feature, threshold, split.left.classCounts, split.right.classCounts)
     if (parent == null) root = split
     else if (parent.left eq leaf) parent.left = split
     else parent.right = split

@@ -83,17 +83,19 @@ final class FiCSUM(
 
   /** The w-row windows of `rows` at `starts` as each of `concepts` would see
     * them (paper's F_AS / F_SC): its classifier relabels each row once and,
-    * with Shapley dims, attributes it in the same leaf evaluation. A window's
-    * classifier-free kernel outputs are computed once for all concepts (not
-    * at all without one). Raw: reads neither the normalizer nor the weights.
+    * if it attributes rows (`Fingerprinter.attributes`), attributes it in the
+    * same leaf evaluation. A window's classifier-free kernel outputs are
+    * computed once for all concepts; every caller passes at least one.
+    * Raw: reads neither the normalizer nor the weights.
     */
   private[core] def foreignFingerprints(rows: IndexedSeq[Labeled], starts: Seq[Int],
       concepts: collection.Seq[ConceptState]): collection.Seq[Seq[Array[Double]]] = {
-    lazy val shared = starts.map(o => Fingerprinter.classifierFree(spec, rows.slice(o, o + w)))
+    val shared = starts.map(o => Fingerprinter.classifierFree(spec, rows.slice(o, o + w)))
     concepts.map { s =>
-      val contribs = if (spec.includeShapley) rows.map(_ => new Array[Double](numFeatures)) else IndexedSeq.empty
+      val attributes = Fingerprinter.attributes(spec, s.classifier)
+      val contribs = if (attributes) rows.map(_ => new Array[Double](numFeatures)) else IndexedSeq.empty
       val relabeled = rows.indices.map(k => rows(k).copy(l =
-        if (spec.includeShapley) s.classifier.explain(rows(k).x, contribs(k)) else s.classifier.predict(rows(k).x)))
+        if (attributes) s.classifier.explain(rows(k).x, contribs(k)) else s.classifier.predict(rows(k).x)))
       starts.zip(shared).map { case (o, sh) =>
         Fingerprinter.make(spec, relabeled.slice(o, o + w), contribs.slice(o, o + w), sh)
       }

@@ -130,13 +130,18 @@ object Fingerprinter {
     spec.sources.filter(_.classifierFree)
       .map(s => s -> SeqStats.describe(sourceSeq(s, window), spec.slots)).toMap
 
+  /** Whether `tree` attributes rows under `spec`: only with Shapley dims, and
+    * only once it has split. A root leaf attributes +0.0 to every feature,
+    * which is what [[make]] puts in the Shapley dims for no attributions.
+    */
+  private[core] def attributes(spec: FingerprintSpec, tree: HoeffdingTree): Boolean =
+    spec.includeShapley && tree.splitEvents > 0
+
   /** Path attributions of each of `rows` under `tree`, one leaf evaluation
-    * per row. Empty when the spec has no Shapley dims, and when the tree has
-    * not split: a root leaf attributes +0.0 to every feature, which is what
-    * [[make]] puts in the Shapley dims for no attributions.
+    * per row; empty when the tree does not attribute them (`attributes`).
     */
   def contributions(spec: FingerprintSpec, rows: IndexedSeq[Labeled], tree: HoeffdingTree): IndexedSeq[Array[Double]] =
-    if (!spec.includeShapley || tree.splitEvents == 0) IndexedSeq.empty
+    if (!attributes(spec, tree)) IndexedSeq.empty
     else rows.map { o => val c = new Array[Double](tree.numFeatures); tree.explain(o.x, c); c }
 
   /** Raw (unnormalized) fingerprint of `window`. `classifier` supplies the

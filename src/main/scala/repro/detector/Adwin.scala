@@ -46,8 +46,8 @@ final class Adwin(delta: Double = 0.002) extends Serializable {
     }
   }
 
+  /** Called with at least 10 values in the window (see [[add]]). */
   private def windowVariance: Double = {
-    if (totalW <= 1) return 0.0
     val mu = mean
     var acc = 0.0
     var i = 0

@@ -1,7 +1,6 @@
 package repro.sparkstream
 
-import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
-
+import org.apache.commons.lang3.SerializationUtils
 import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
 import repro.core.{FiCSUM, FiCSUMConfig, FingerprintSpec}
@@ -24,21 +23,6 @@ final case class DriftEvent(streamId: Int, ts: Long, prediction: Int, modelId: I
   */
 object StreamingDrift {
 
-  private def serialize(engine: FiCSUM): Array[Byte] = {
-    val bos = new ByteArrayOutputStream()
-    val oos = new ObjectOutputStream(bos)
-    oos.writeObject(engine)
-    oos.close()
-    bos.toByteArray
-  }
-
-  private def deserialize(bytes: Array[Byte]): FiCSUM = {
-    val ois = new ObjectInputStream(new ByteArrayInputStream(bytes))
-    val engine = ois.readObject().asInstanceOf[FiCSUM]
-    ois.close()
-    engine
-  }
-
   /** Pure update function — also used directly in unit tests. */
   def processGroup(
       streamId: Int,
@@ -50,7 +34,7 @@ object StreamingDrift {
       seed: Long,
   ): Iterator[DriftEvent] = {
     val engine = state.getOption
-      .map(deserialize)
+      .map(SerializationUtils.deserialize[FiCSUM](_))
       .getOrElse(new FiCSUM("FiCSUM", numFeatures, numClasses,
         FingerprintSpec.full(numFeatures), cfg, seed))
     val events = rows.toSeq.sortBy(_.ts).map { r =>
@@ -58,7 +42,7 @@ object StreamingDrift {
       val (pred, modelId) = engine.step(r.features.toArray, r.y)
       DriftEvent(streamId, r.ts, pred, modelId, engine.driftCount > before)
     }
-    state.update(serialize(engine))
+    state.update(SerializationUtils.serialize(engine))
     events.iterator
   }
 

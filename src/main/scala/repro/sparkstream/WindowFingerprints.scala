@@ -34,12 +34,9 @@ object WindowFingerprints {
 
   def toDf(spark: SparkSession, stream: GeneratedStream, streamId: Int = 0): DataFrame = {
     import spark.implicits._
-    val d = stream.numFeatures
-    val base = toRows(stream, streamId).toDS()
-    val withCols = (0 until d).foldLeft(base.toDF()) { case (df, j) =>
-      df.withColumn(s"x$j", element_at(col("features"), j + 1))
-    }
-    withCols.drop("features")
+    val df = toRows(stream, streamId).toDF()
+    val xs = (0 until stream.numFeatures).map(j => element_at(col("features"), j + 1) as s"x$j")
+    df.select(df.columns.toSeq.filter(_ != "features").map(col) ++ xs: _*)
   }
 
   /** Raw-moment meta-information per tumbling window of `w` observations:

@@ -42,6 +42,34 @@ class BaselinesSpec extends AnyFunSuite {
     assert(d.numExperts <= 10)
   }
 
+  test("property: DWM holds between 1 and 10 experts after every step on random label streams") {
+    import org.scalacheck.{Gen, Prop, Test => SCTest}
+    // Random labels make the ensemble wrong often, so experts are pruned,
+    // added and evicted at the cap. The invariant behind DWM's update: the
+    // best expert's normalized weight is exactly 1.0 ≥ θ, so one survives.
+    val cases = for {
+      k <- Gen.choose(2, 4)
+      d <- Gen.choose(1, 4)
+      n <- Gen.choose(50, 600)
+      seed <- Gen.choose(0L, Long.MaxValue)
+    } yield (k, d, n, seed)
+    var atCap, pruned = 0
+    val prop = Prop.forAll(cases) { case (k, d, n, seed) =>
+      val rng = new scala.util.Random(seed)
+      val dwm = new Dwm(d, k, seed = seed)
+      (0 until n).forall { _ =>
+        val before = dwm.numExperts
+        dwm.step(Array.fill(d)(rng.nextDouble()), rng.nextInt(k))
+        if (dwm.numExperts == 10) atCap += 1
+        if (dwm.numExperts < before) pruned += 1
+        dwm.numExperts >= 1 && dwm.numExperts <= 10
+      }
+    }
+    val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(100), prop)
+    assert(result.passed, result.status.toString)
+    assert(atCap >= 1000 && pruned >= 10, s"steps at the cap $atCap, steps that pruned $pruned")
+  }
+
   test("DWM accuracy beats majority guessing on STAGGER") {
     val d = new Dwm(stagger.numFeatures, stagger.numClasses, seed = 1)
     val correct = stagger.obs.count(o => d.step(o.x, o.y)._1 == o.y)

@@ -269,6 +269,58 @@ class HoeffdingTreeSpec extends AnyFunSuite {
     assert(result.passed, result.status.toString)
     assert(gains >= 10000 && absentClass >= 100, s"searched $searched, positive gains $gains, leaves lacking a class $absentClass")
   }
+
+  test("property: Leaf.divide writes the class mass doSplit seeded its children with, bit for bit") {
+    import org.scalacheck.{Gen, Prop, Test => SCTest}
+    // Leaves of trees grown from weighted rows on 2 or 3 classes; the third
+    // class is never drawn in some cases, so it holds zero weight. Every
+    // 10 rows, every leaf divides each feature at thresholds inside its
+    // observed range and outside it. `divide` writes into buffers that
+    // hold junk (a reused search buffer), the oracle into zeroed arrays
+    // (fresh children).
+    val cases = for {
+      k <- Gen.oneOf(2, 3)
+      unseen <- Gen.oneOf(false, true)
+      d <- Gen.choose(1, 4)
+      n <- Gen.choose(30, 300)
+      seed <- Gen.choose(0L, Long.MaxValue)
+    } yield (k, unseen, d, n, seed)
+    var divided, zeroClass, outside = 0
+    val prop = Prop.forAll(cases) { case (k, unseen, d, n, seed) =>
+      val rng = new Random(seed)
+      val t = new HoeffdingTree(d, k, HoeffdingTreeConfig(gracePeriod = 20), seed = 3)
+      val drawn = if (unseen) k - 1 else k
+      def leaves(node: t.Node): Seq[t.Leaf] = node match {
+        case s: t.Split => leaves(s.left) ++ leaves(s.right)
+        case l: t.Leaf  => Seq(l)
+      }
+      (0 until n).forall { i =>
+        val x = Array.fill(d)(rng.nextDouble())
+        val y = if (rng.nextDouble() < 0.1) rng.nextInt(drawn) else math.min(drawn - 1, (x(0) * drawn).toInt)
+        t.train(x, y, if (rng.nextInt(4) == 0) 0.1 + 3 * rng.nextDouble() else (1 + rng.nextInt(6)).toDouble)
+        i % 10 != 9 || leaves(t.root).forall { leaf =>
+          if (leaf.classCounts.contains(0.0)) zeroClass += 1
+          // A leaf made by a split holds seeded counts but no observed range.
+          (0 until d).filter(f => leaf.mins(f) <= leaf.maxs(f)).forall { f =>
+            val lo = leaf.mins(f); val hi = leaf.maxs(f)
+            val thresholds = Seq(lo, hi, lo + (hi - lo) * rng.nextDouble(), lo - 1 - rng.nextDouble(), hi + 1 + rng.nextDouble())
+            thresholds.forall { thr =>
+              if (!(thr >= lo && thr <= hi)) outside += 1
+              divided += 1
+              val (l, r) = (Array.fill(k)(Double.NaN), Array.fill(k)(-7.0))
+              val (wantL, wantR) = (new Array[Double](k), new Array[Double](k))
+              leaf.divide(f, thr, l, r)
+              SplitOracle.seedChildren(t, leaf, f, thr, wantL, wantR)
+              bits(l) == bits(wantL) && bits(r) == bits(wantR)
+            }
+          }
+        }
+      }
+    }
+    val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(100), prop)
+    assert(result.passed, result.status.toString)
+    assert(zeroClass >= 100 && outside >= 1000, s"divisions $divided, leaves with a zero-weight class $zeroClass, outside the range $outside")
+  }
 }
 
 /** `explain` against the verbatim two-pass attribution oracle, bit for bit. */

@@ -56,4 +56,22 @@ object SplitOracle {
     }
     (bestGain, bestThr)
   }
+
+  /** `doSplit`'s seeding of the two children before `Leaf.divide`, verbatim
+    * (the children's count arrays passed in as `left` and `right`, which
+    * start at zero): a class without weight is left as it is.
+    */
+  def seedChildren(t: HoeffdingTree, leaf: HoeffdingTree#Leaf, feature: Int, threshold: Double,
+      left: Array[Double], right: Array[Double]): Unit = {
+    var c = 0
+    while (c < t.numClasses) {
+      val w = leaf.classCounts(c)
+      if (w > 0) {
+        val pl = leaf.observers(feature)(c).cdf(threshold)
+        left(c) = w * pl
+        right(c) = w * (1 - pl)
+      }
+      c += 1
+    }
+  }
 }

@@ -9,14 +9,15 @@ import repro.stream.{Datasets, GeneratedStream}
 
 class StreamingDriftSpec extends SparkSpec {
 
-  /** The events of the sequential engine over the first `n` rows of `stream`. */
-  private def sequential(stream: GeneratedStream, n: Int, cfg: FiCSUMConfig, seed: Long): (Seq[DriftEvent], FiCSUM) = {
+  /** The events of the sequential engine over the first `n` rows of `stream`, keyed `streamId`. */
+  private def sequential(stream: GeneratedStream, n: Int, cfg: FiCSUMConfig, seed: Long,
+      streamId: Int = 0): (Seq[DriftEvent], FiCSUM) = {
     val engine = new FiCSUM("FiCSUM", stream.numFeatures, stream.numClasses,
       FingerprintSpec.full(stream.numFeatures), cfg, seed)
     val events = stream.obs.take(n).zipWithIndex.map { case (o, i) =>
       val before = engine.driftCount
       val (p, m) = engine.step(o.x, o.y)
-      DriftEvent(0, i.toLong, p, m, engine.driftCount > before)
+      DriftEvent(streamId, i.toLong, p, m, engine.driftCount > before)
     }
     (events, engine)
   }
@@ -92,6 +93,42 @@ class StreamingDriftSpec extends SparkSpec {
     val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(20), prop)
     assert(result.passed, result.status.toString)
     assert(driftCut >= 1, s"cases cut at every drift step: $driftCut")
+  }
+
+  test("interleaved keys in random micro-batches each get their own sequential engine's events") {
+    import spark.implicits._
+    implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
+
+    // Two keys, each a STAGGER stream of its own seed, their rows shuffled
+    // together (each key's rows in order) and fed in four micro-batches:
+    // two cuts at random and one just before a key's first drift step.
+    val n = 1000
+    val cfg = FiCSUMConfig()
+    val streams = IndexedSeq(Datasets.stagger.build(2), Datasets.stagger.build(4))
+    val expected = streams.indices.map(k => sequential(streams(k), n, cfg, seed = 9, streamId = k)._1)
+    val rng = new scala.util.Random(5)
+    val perKey = streams.indices.map(k => WindowFingerprints.toRows(streams(k), k).take(n).iterator)
+    val rows = rng.shuffle(streams.indices.flatMap(k => Seq.fill(n)(k))).map(perKey(_).next())
+    val drift = expected.flatten.find(_.drift).getOrElse(fail("no key drifts"))
+    val atDrift = rows.indexWhere(r => r.streamId == drift.streamId && r.ts == drift.ts)
+    val cuts = (atDrift +: rng.shuffle((1 until rows.length).filter(_ != atDrift).toVector).take(2)).sorted
+
+    val input = MemoryStream[ObsRow]
+    val events = StreamingDrift.detect(spark, input.toDS(), streams(0).numFeatures,
+      streams(0).numClasses, cfg, seed = 9)
+    val query = events.writeStream
+      .format("memory").queryName("drift_keys").outputMode("append").start()
+    try {
+      (0 +: cuts).zip(cuts :+ rows.length).foreach { case (from, until) =>
+        input.addData(rows.slice(from, until))
+        query.processAllAvailable()
+      }
+    } finally query.stop()
+
+    val got = spark.sql("select * from drift_keys").as[DriftEvent].collect().toSeq
+    streams.indices.foreach { k =>
+      assert(got.filter(_.streamId == k).sortBy(_.ts) == expected(k), s"key $k")
+    }
   }
 
   test("streaming operator emits drift events on a drifting stream") {

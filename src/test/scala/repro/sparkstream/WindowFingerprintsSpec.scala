@@ -44,8 +44,7 @@ class WindowFingerprintsSpec extends SparkSpec {
   test("toDf exposes one column per feature plus ts/y/l") {
     val df = WindowFingerprints.toDf(spark, stream.copy(obs = stream.obs.take(50),
       conceptIds = stream.conceptIds.take(50)))
-    val cols = df.columns.toSet
-    assert(cols.contains("ts") && cols.contains("y") && cols.contains("x0") && cols.contains("x2"))
+    assert(df.columns.toSeq == Seq("streamId", "ts", "y", "l", "x0", "x1", "x2"))
     assert(df.count() == 50)
   }
 }
