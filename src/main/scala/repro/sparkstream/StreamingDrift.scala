@@ -1,6 +1,7 @@
 package repro.sparkstream
 
-import org.apache.commons.lang3.SerializationUtils
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream, ObjectStreamClass}
+
 import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
 import repro.core.{FiCSUM, FiCSUMConfig, FingerprintSpec}
@@ -23,6 +24,31 @@ final case class DriftEvent(streamId: Int, ts: Long, prediction: Int, modelId: I
   */
 object StreamingDrift {
 
+  private def serialize(engine: FiCSUM): Array[Byte] = {
+    val bos = new ByteArrayOutputStream()
+    val oos = new ObjectOutputStream(bos)
+    oos.writeObject(engine)
+    oos.close()
+    bos.toByteArray
+  }
+
+  /** Classes resolve through the loader of the engine's own classes. The
+    * default is the loader of the innermost non-JDK caller, which inside a
+    * Scala collection's serialization proxy is scala-library's: under
+    * spark-submit that is Spark's loader, which cannot see the application jar.
+    */
+  private def deserialize(bytes: Array[Byte]): FiCSUM = {
+    val loader = classOf[FiCSUM].getClassLoader
+    val ois = new ObjectInputStream(new ByteArrayInputStream(bytes)) {
+      override def resolveClass(desc: ObjectStreamClass): Class[_] =
+        try Class.forName(desc.getName, false, loader)
+        catch { case _: ClassNotFoundException => super.resolveClass(desc) }
+    }
+    val engine = ois.readObject().asInstanceOf[FiCSUM]
+    ois.close()
+    engine
+  }
+
   /** Pure update function — also used directly in unit tests. */
   def processGroup(
       streamId: Int,
@@ -34,7 +60,7 @@ object StreamingDrift {
       seed: Long,
   ): Iterator[DriftEvent] = {
     val engine = state.getOption
-      .map(SerializationUtils.deserialize[FiCSUM](_))
+      .map(deserialize)
       .getOrElse(new FiCSUM("FiCSUM", numFeatures, numClasses,
         FingerprintSpec.full(numFeatures), cfg, seed))
     val events = rows.toSeq.sortBy(_.ts).map { r =>
@@ -42,7 +68,7 @@ object StreamingDrift {
       val (pred, modelId) = engine.step(r.features.toArray, r.y)
       DriftEvent(streamId, r.ts, pred, modelId, engine.driftCount > before)
     }
-    state.update(SerializationUtils.serialize(engine))
+    state.update(serialize(engine))
     events.iterator
   }
 

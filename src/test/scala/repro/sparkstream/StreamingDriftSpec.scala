@@ -1,5 +1,8 @@
 package repro.sparkstream
 
+import java.io.File
+import java.net.URLClassLoader
+
 import org.apache.spark.api.java.Optional
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import org.apache.spark.sql.streaming.{GroupStateTimeout, TestGroupState}
@@ -113,11 +116,17 @@ class StreamingDriftSpec extends SparkSpec {
     val atDrift = rows.indexWhere(r => r.streamId == drift.streamId && r.ts == drift.ts)
     val cuts = (atDrift +: rng.shuffle((1 until rows.length).filter(_ != atDrift).toVector).take(2)).sorted
 
+    // One state partition, so both keys share one state store. A query fixes
+    // its partition count when it starts, and each micro-batch commits every
+    // partition's store: the session's 64 cost ~10 s over four batches.
+    val partitions = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", 1L)
     val input = MemoryStream[ObsRow]
     val events = StreamingDrift.detect(spark, input.toDS(), streams(0).numFeatures,
       streams(0).numClasses, cfg, seed = 9)
-    val query = events.writeStream
+    val query = try events.writeStream
       .format("memory").queryName("drift_keys").outputMode("append").start()
+      finally spark.conf.set("spark.sql.shuffle.partitions", partitions)
     try {
       (0 +: cuts).zip(cuts :+ rows.length).foreach { case (from, until) =>
         input.addData(rows.slice(from, until))
@@ -128,6 +137,27 @@ class StreamingDriftSpec extends SparkSpec {
     val got = spark.sql("select * from drift_keys").as[DriftEvent].collect().toSeq
     streams.indices.foreach { k =>
       assert(got.filter(_.streamId == k).sortBy(_.ts) == expected(k), s"key $k")
+    }
+  }
+
+  test("engine state round-trips when the repro classes sit in a child of Spark's class loader") {
+    // As under spark-submit: Spark and Scala in one loader, the repro
+    // classes in a child loader that Spark's own classes cannot see.
+    val own = Seq(classOf[FiCSUM], classOf[StreamingDriftSpec])
+      .map(c => new File(c.getProtectionDomain.getCodeSource.getLocation.toURI).getCanonicalFile)
+    val libs = sys.props("java.class.path").split(File.pathSeparator).toSeq
+      .map(new File(_).getCanonicalFile).filterNot(own.contains)
+    assert(own.forall(_.isDirectory) && libs.nonEmpty)
+    val sparkLoader = new URLClassLoader(libs.map(_.toURI.toURL).toArray, ClassLoader.getPlatformClassLoader)
+    val appLoader = new URLClassLoader(own.map(_.toURI.toURL).toArray, sparkLoader)
+    try {
+      val probe = appLoader.loadClass(TwoBatchProbe.getClass.getName)
+      assert(probe.getClassLoader eq appLoader)
+      val got = probe.getMethod("run").invoke(probe.getField("MODULE$").get(null))
+      assert(got == TwoBatchProbe.run())
+    } finally {
+      appLoader.close()
+      sparkLoader.close()
     }
   }
 
@@ -151,5 +181,23 @@ class StreamingDriftSpec extends SparkSpec {
     assert(got.length == stream.length)
     assert(got.count(_.drift) >= 2, s"drift events: ${got.count(_.drift)}")
     assert(got.map(_.modelId).distinct.length >= 2)
+  }
+}
+
+/** One key's events over two micro-batches of `processGroup`, the second of
+  * which reads the engine back from its state bytes; returned as text so that
+  * runs in different class loaders can be compared.
+  */
+object TwoBatchProbe {
+  def run(): String = {
+    val stream = Datasets.stagger.build(2)
+    var bytes = Optional.empty[Array[Byte]]()
+    WindowFingerprints.toRows(stream).take(600).grouped(300).toList.flatMap { batch =>
+      val state = TestGroupState.create[Array[Byte]](bytes, GroupStateTimeout.NoTimeout(), 0L, Optional.empty[Long](), false)
+      val events = StreamingDrift.processGroup(0, batch.iterator, state,
+        stream.numFeatures, stream.numClasses, FiCSUMConfig(), seed = 9).toList
+      bytes = Optional.of(state.get)
+      events
+    }.mkString("\n")
   }
 }
