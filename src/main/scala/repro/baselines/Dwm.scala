@@ -11,17 +11,15 @@ import repro.eval.StreamSystem
   * one evolving ensemble, so its model id is constant — which is exactly
   * why its C-F1 is capped (paper §II / Table VI).
   */
-final class Dwm(numFeatures: Int, numClasses: Int, seed: Long = 42) extends StreamSystem {
+final class Dwm(numFeatures: Int, numClasses: Int) extends StreamSystem {
   import Dwm._
 
   val name = "DWM"
 
   private final class Expert(val tree: HoeffdingTree, var weight: Double) extends Serializable
 
-  private val experts = mutable.ArrayBuffer(new Expert(
-    new HoeffdingTree(numFeatures, numClasses, seed = seed), 1.0))
+  private val experts = mutable.ArrayBuffer(new Expert(new HoeffdingTree(numFeatures, numClasses), 1.0))
   private var i = 0L
-  private var created = 1
 
   private def vote(x: Array[Double]): (Int, Array[Int]) = {
     val scores = new Array[Double](numClasses)
@@ -54,9 +52,7 @@ final class Dwm(numFeatures: Int, numClasses: Int, seed: Long = 42) extends Stre
           val worst = experts.minBy(_.weight)
           experts -= worst
         }
-        created += 1
-        experts += new Expert(
-          new HoeffdingTree(numFeatures, numClasses, seed = seed + created), 1.0)
+        experts += new Expert(new HoeffdingTree(numFeatures, numClasses), 1.0)
       }
     }
     experts.foreach(_.tree.train(x, y))

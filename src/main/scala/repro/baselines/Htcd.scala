@@ -8,13 +8,13 @@ import repro.eval.StreamSystem
   * detects drift in the 0/1 error sequence. No repository — every drift
   * starts a fresh model, so each model id covers exactly one segment.
   */
-final class Htcd(numFeatures: Int, numClasses: Int, seed: Long = 42) extends StreamSystem {
+final class Htcd(numFeatures: Int, numClasses: Int) extends StreamSystem {
   import Htcd.AdwinDelta
 
   val name = "HTCD"
 
   private var modelId = 0
-  private var tree    = new HoeffdingTree(numFeatures, numClasses, seed = seed)
+  private var tree    = new HoeffdingTree(numFeatures, numClasses)
   private var adwin   = new Adwin(AdwinDelta)
 
   /** Every drift starts the next model id. */
@@ -25,7 +25,7 @@ final class Htcd(numFeatures: Int, numClasses: Int, seed: Long = 42) extends Str
     tree.train(x, y)
     if (adwin.add(if (l != y) 1.0 else 0.0)) {
       modelId += 1
-      tree = new HoeffdingTree(numFeatures, numClasses, seed = seed + modelId)
+      tree = new HoeffdingTree(numFeatures, numClasses)
       adwin = new Adwin(AdwinDelta)
     }
     (l, modelId)

@@ -13,7 +13,7 @@ import repro.eval.StreamSystem
   * test — same architecture: supervised detection, unsupervised distribution
   * test for recurrence selection).
   */
-final class Rcd(numFeatures: Int, numClasses: Int, seed: Long = 42) extends StreamSystem {
+final class Rcd(numFeatures: Int, numClasses: Int) extends StreamSystem {
   import Rcd._
 
   val name = "RCD"
@@ -23,7 +23,7 @@ final class Rcd(numFeatures: Int, numClasses: Int, seed: Long = 42) extends Stre
 
   private val repo = mutable.ArrayBuffer.empty[Stored]
   private var nextId = 0
-  private var tree = new HoeffdingTree(numFeatures, numClasses, seed = seed)
+  private var tree = new HoeffdingTree(numFeatures, numClasses)
   private var activeId = { nextId += 1; 0 }
   private val eddm = new Eddm()
   private val recent = new mutable.ArrayDeque[Array[Double]]()
@@ -91,7 +91,7 @@ final class Rcd(numFeatures: Int, numClasses: Int, seed: Long = 42) extends Stre
           activeId = s.id
         case None =>
           activeId = nextId; nextId += 1
-          tree = new HoeffdingTree(numFeatures, numClasses, seed = seed + activeId)
+          tree = new HoeffdingTree(numFeatures, numClasses)
       }
     }
     (l, activeId)

@@ -10,7 +10,7 @@ import scala.collection.mutable.ArrayDeque
   * have means that differ by more than the ADWIN bound
   * eps = sqrt(2/m · σ²_W · ln(2/δ')) + (2/3m) · ln(2/δ').
   */
-final class Adwin(delta: Double = 0.002) extends Serializable {
+final class Adwin(delta: Double) extends Serializable {
   import Adwin.{Bucket, MaxBucketsPerSize}
 
   private val buckets = new ArrayDeque[Bucket]() // index 0 = newest

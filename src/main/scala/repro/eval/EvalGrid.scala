@@ -29,9 +29,9 @@ object Systems {
         val fns = MetaFunctions.tableVGroups.collectFirst { case (l, f) if l == label => f }
           .getOrElse(throw new NoSuchElementException(s"unknown function group $label"))
         ficsum(FingerprintSpec.singleFunction(d, fns))
-      case "HTCD" => new Htcd(d, k, seed = seed)
-      case "RCD"  => new Rcd(d, k, seed = seed)
-      case "DWM"  => new Dwm(d, k, seed = seed)
+      case "HTCD" => new Htcd(d, k)
+      case "RCD"  => new Rcd(d, k)
+      case "DWM"  => new Dwm(d, k)
       case "ARF"  => new Arf(d, k, seed = seed)
       case other  => throw new NoSuchElementException(s"unknown system $other")
     }

@@ -5,11 +5,8 @@ import org.apache.spark.sql.functions._
 import repro.core.{Fingerprinter, FingerprintSpec, Labeled}
 import repro.stream.GeneratedStream
 
-/** One observation as a flat row for the dataflow layer. `l` is the label
-  * predicted by whatever classifier produced the stream trace (−1 when the
-  * trace is unsupervised).
-  */
-final case class ObsRow(streamId: Int, ts: Long, features: Seq[Double], y: Int, l: Int)
+/** One observation as a flat row for the dataflow layer. */
+final case class ObsRow(streamId: Int, ts: Long, features: Seq[Double], y: Int)
 
 /** A per-window fingerprint vector keyed by tumbling-window id. */
 final case class WindowFingerprint(streamId: Int, windowId: Long, fingerprint: Seq[Double])
@@ -29,7 +26,7 @@ object WindowFingerprints {
 
   def toRows(stream: GeneratedStream, streamId: Int = 0): Seq[ObsRow] =
     stream.obs.zipWithIndex.map { case (o, i) =>
-      ObsRow(streamId, i.toLong, o.x.toSeq, o.y, -1)
+      ObsRow(streamId, i.toLong, o.x.toSeq, o.y)
     }
 
   def toDf(spark: SparkSession, stream: GeneratedStream, streamId: Int = 0): DataFrame = {
@@ -89,7 +86,8 @@ object WindowFingerprints {
     rows
       .groupByKey(r => (r.streamId, r.ts / w))
       .mapGroups { (key: (Int, Long), it: Iterator[ObsRow]) =>
-        val window = it.toIndexedSeq.sortBy(_.ts).map(r => Labeled(r.features.toArray, r.y, r.l))
+        // A stream trace carries no predictions, so every row's l is −1.
+        val window = it.toIndexedSeq.sortBy(_.ts).map(r => Labeled(r.features.toArray, r.y, -1))
         WindowFingerprint(key._1, key._2, Fingerprinter.make(spec, window, None).toSeq)
       }
   }

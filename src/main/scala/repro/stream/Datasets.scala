@@ -35,17 +35,20 @@ object Datasets {
       RecurrentStream.generate(name, concepts(seed), segLen, occurrences, seed)
   }
 
-  private def pyxDriven(name: String, d: Int, k: Int, segLen: Int, occ: Int,
+  // The occurrence count is scaled down from 9 to 3 for wall-clock.
+  private val Occurrences = 3
+
+  private def pyxDriven(name: String, d: Int, k: Int, segLen: Int,
                         noise: Double, sigma: Double): Spec =
-    Spec(name, d, k, segLen, occ, seed =>
+    Spec(name, d, k, segLen, Occurrences, seed =>
       (0 until k).map(c =>
         new GaussianMixtureConcept(seed * 7919 + 1, seed * 1000 + c, d, 2,
           sigma = sigma, labelNoise = noise)))
 
-  private def pxDriven(name: String, d: Int, k: Int, segLen: Int, occ: Int,
+  private def pxDriven(name: String, d: Int, k: Int, segLen: Int,
                        noise: Double, mod: ModSpec,
                        labeller: (Long, Int) => LabelFunction = balancedTree): Spec =
-    Spec(name, d, k, segLen, occ, seed => {
+    Spec(name, d, k, segLen, Occurrences, seed => {
       // One labelling function for all contexts; only p(X) changes.
       val shared = labeller(seed * 1000 + 999, d)
       (0 until k).map(c => new ModulatedConcept(shared, d, seed * 1000 + c, mod, noise))
@@ -65,34 +68,33 @@ object Datasets {
   }
 
   // Segment lengths track the paper's (~450-880 obs per segment) so that
-  // detection lag consumes a comparable *fraction* of each segment; the
-  // occurrence count is scaled down from 9 to 3 for wall-clock.
-  val aqSex: Spec   = pyxDriven("AQSex",   d = 25, k = 6, segLen = 450, occ = 3, noise = 0.02, sigma = 0.06)
-  val aqTemp: Spec  = pyxDriven("AQTemp",  d = 25, k = 6, segLen = 450, occ = 3, noise = 0.20, sigma = 0.15)
-  val arabic: Spec  = pxDriven("Arabic",   d = 10, k = 10, segLen = 250, occ = 3, noise = 0.05, ModSpec.DA)
-  val cmc: Spec     = pxDriven("CMC",      d = 8,  k = 2, segLen = 450, occ = 3, noise = 0.35, ModSpec.D)
-  val qg: Spec      = pxDriven("QG",       d = 63, k = 10, segLen = 200, occ = 3, noise = 0.10, ModSpec.D)
-  val uciWine: Spec = pxDriven("UCI-Wine", d = 11, k = 2, segLen = 450, occ = 3, noise = 0.30, ModSpec.DA)
+  // detection lag consumes a comparable *fraction* of each segment.
+  val aqSex: Spec   = pyxDriven("AQSex",   d = 25, k = 6, segLen = 450, noise = 0.02, sigma = 0.06)
+  val aqTemp: Spec  = pyxDriven("AQTemp",  d = 25, k = 6, segLen = 450, noise = 0.20, sigma = 0.15)
+  val arabic: Spec  = pxDriven("Arabic",   d = 10, k = 10, segLen = 250, noise = 0.05, ModSpec.DA)
+  val cmc: Spec     = pxDriven("CMC",      d = 8,  k = 2, segLen = 450, noise = 0.35, ModSpec.D)
+  val qg: Spec      = pxDriven("QG",       d = 63, k = 10, segLen = 200, noise = 0.10, ModSpec.D)
+  val uciWine: Spec = pxDriven("UCI-Wine", d = 11, k = 2, segLen = 450, noise = 0.30, ModSpec.DA)
 
-  val stagger: Spec = Spec("STAGGER", 3, 3, 450, 3, _ => (0 until 3).map(StaggerConcept(_)))
+  val stagger: Spec = Spec("STAGGER", 3, 3, 450, Occurrences, _ => (0 until 3).map(StaggerConcept(_)))
 
-  val rbf: Spec = Spec("RBF", 10, 6, 450, 3, seed =>
+  val rbf: Spec = Spec("RBF", 10, 6, 450, Occurrences, seed =>
     (0 until 6).map(c => new RbfConcept(seed * 1000 + c, 10)))
 
   // Shallow trees keep per-segment learnability comparable to the paper's
   // longer segments (their classifiers also accumulate over 9 recurrences).
-  val rtree: Spec = Spec("RTREE", 10, 6, 450, 3, seed =>
+  val rtree: Spec = Spec("RTREE", 10, 6, 450, Occurrences, seed =>
     (0 until 6).map(c => new RandomTreeConcept(seed * 1000 + c, 10, maxDepth = 3)))
 
-  val hplaneU: Spec = pxDriven("HPLANE-U", d = 10, k = 6, segLen = 450, occ = 3, noise = 0.15, ModSpec.DAF,
+  val hplaneU: Spec = pxDriven("HPLANE-U", d = 10, k = 6, segLen = 450, noise = 0.15, ModSpec.DAF,
     labeller = new HyperplaneConcept(_, _))
-  val rtreeU: Spec  = pxDriven("RTREE-U",  d = 10, k = 6, segLen = 450, occ = 3, noise = 0.02, ModSpec.DAF)
+  val rtreeU: Spec  = pxDriven("RTREE-U",  d = 10, k = 6, segLen = 450, noise = 0.02, ModSpec.DAF)
 
   /** Table V family: random-tree base, per-concept modulation of the given
     * drift types, shared labelling tree.
     */
   def synth(spec: ModSpec): Spec =
-    pxDriven(s"Synth_${spec.tag}", d = 10, k = 6, segLen = 400, occ = 3, noise = 0.02, spec)
+    pxDriven(s"Synth_${spec.tag}", d = 10, k = 6, segLen = 400, noise = 0.02, spec)
 
   /** The 11 Table II datasets, in the paper's row order. */
   val all: IndexedSeq[Spec] = IndexedSeq(

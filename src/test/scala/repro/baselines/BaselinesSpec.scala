@@ -8,7 +8,7 @@ class BaselinesSpec extends AnyFunSuite {
   private lazy val stagger = Datasets.stagger.build(1)
 
   test("HTCD resets its model on drift: model ids increase over STAGGER") {
-    val h = new Htcd(stagger.numFeatures, stagger.numClasses, seed = 1)
+    val h = new Htcd(stagger.numFeatures, stagger.numClasses)
     val ids = stagger.obs.map(o => h.step(o.x, o.y)._2)
     assert(ids.distinct.length >= 4, s"models=${ids.distinct.length}")
     assert(ids == ids.sorted, "HTCD model ids must be monotone (no reuse)")
@@ -16,13 +16,13 @@ class BaselinesSpec extends AnyFunSuite {
   }
 
   test("HTCD achieves reasonable prequential accuracy on STAGGER") {
-    val h = new Htcd(stagger.numFeatures, stagger.numClasses, seed = 1)
+    val h = new Htcd(stagger.numFeatures, stagger.numClasses)
     val correct = stagger.obs.count(o => h.step(o.x, o.y)._1 == o.y)
     assert(correct.toDouble / stagger.length > 0.75)
   }
 
   test("RCD detects drifts and can reuse stored models") {
-    val r = new Rcd(stagger.numFeatures, stagger.numClasses, seed = 1)
+    val r = new Rcd(stagger.numFeatures, stagger.numClasses)
     val ids = stagger.obs.map(o => r.step(o.x, o.y)._2)
     assert(r.driftCount >= 1, "EDDM should fire on STAGGER concept changes")
     assert(ids.distinct.nonEmpty)
@@ -30,13 +30,13 @@ class BaselinesSpec extends AnyFunSuite {
 
   test("RCD on a p(X)-drift stream uses the KS test path") {
     val s = Datasets.rtreeU.build(1)
-    val r = new Rcd(s.numFeatures, s.numClasses, seed = 1)
+    val r = new Rcd(s.numFeatures, s.numClasses)
     val ids = s.obs.map(o => r.step(o.x, o.y)._2)
     assert(ids.distinct.length >= 1)
   }
 
   test("DWM keeps a single evolving representation (model id 0)") {
-    val d = new Dwm(stagger.numFeatures, stagger.numClasses, seed = 1)
+    val d = new Dwm(stagger.numFeatures, stagger.numClasses)
     val ids = stagger.obs.take(1500).map(o => d.step(o.x, o.y)._2)
     assert(ids.forall(_ == 0))
     assert(d.numExperts <= 10)
@@ -56,7 +56,7 @@ class BaselinesSpec extends AnyFunSuite {
     var atCap, pruned = 0
     val prop = Prop.forAll(cases) { case (k, d, n, seed) =>
       val rng = new scala.util.Random(seed)
-      val dwm = new Dwm(d, k, seed = seed)
+      val dwm = new Dwm(d, k)
       (0 until n).forall { _ =>
         val before = dwm.numExperts
         dwm.step(Array.fill(d)(rng.nextDouble()), rng.nextInt(k))
@@ -71,7 +71,7 @@ class BaselinesSpec extends AnyFunSuite {
   }
 
   test("DWM accuracy beats majority guessing on STAGGER") {
-    val d = new Dwm(stagger.numFeatures, stagger.numClasses, seed = 1)
+    val d = new Dwm(stagger.numFeatures, stagger.numClasses)
     val correct = stagger.obs.count(o => d.step(o.x, o.y)._1 == o.y)
     val majority = stagger.obs.map(_.y).groupBy(identity).values.map(_.length).max
     assert(correct > majority, s"acc=${correct.toDouble / stagger.length}")

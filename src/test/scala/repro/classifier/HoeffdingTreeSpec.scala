@@ -222,6 +222,60 @@ class HoeffdingTreeSpec extends AnyFunSuite {
     assert(nbRows >= 10000 && splitTrees >= 50, s"naive-Bayes rows $nbRows, trees that split $splitTrees")
   }
 
+  test("property: without a feature subspace the seed changes no prediction, attribution or split") {
+    import org.scalacheck.{Gen, Prop, Test => SCTest}
+    // HTCD, RCD and DWM build their trees without a seed: a tree reads its
+    // RNG only to draw a leaf's feature subspace. Twin trees of different
+    // seeds, with no subspace (-1, or a size of at least d), train on the
+    // same weighted rows; after every row, both must give the same bits on
+    // a fresh row.
+    val cases = for {
+      k <- Gen.choose(2, 4)
+      d <- Gen.choose(1, 6)
+      subset <- Gen.oneOf(Gen.const(-1), Gen.choose(d, d + 2))
+      n <- Gen.choose(50, 500)
+      seedA <- Gen.choose(Long.MinValue, Long.MaxValue)
+      seedB <- Gen.choose(Long.MinValue, Long.MaxValue)
+      rowSeed <- Gen.choose(0L, Long.MaxValue)
+    } yield (k, d, subset, n, seedA, seedB, rowSeed)
+    var splitTrees = 0
+    val prop = Prop.forAll(cases) { case (k, d, subset, n, seedA, seedB, rowSeed) =>
+      val rng = new Random(rowSeed)
+      val cfg = HoeffdingTreeConfig(gracePeriod = 20, featureSubsetSize = subset)
+      val a = new HoeffdingTree(d, k, cfg, seed = seedA)
+      val b = new HoeffdingTree(d, k, cfg, seed = seedB)
+      val ok = (0 until n).forall { _ =>
+        val x = Array.fill(d)(rng.nextDouble())
+        val y = if (rng.nextDouble() < 0.1) rng.nextInt(k) else math.min(k - 1, (x(0) * k).toInt)
+        val w = if (rng.nextInt(4) == 0) 0.1 + 3 * rng.nextDouble() else (1 + rng.nextInt(6)).toDouble
+        a.train(x, y, w)
+        b.train(x, y, w)
+        val z = Array.fill(d)(rng.nextDouble())
+        val (ca, cb) = (new Array[Double](d), new Array[Double](d))
+        bits(a.predictProba(z)) == bits(b.predictProba(z)) &&
+          a.explain(z, ca) == b.explain(z, cb) && bits(ca) == bits(cb) &&
+          a.splitEvents == b.splitEvents
+      }
+      if (a.splitEvents > 0) splitTrees += 1
+      ok
+    }
+    val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(200), prop)
+    assert(result.passed, result.status.toString)
+    assert(splitTrees >= 50, s"trees that split $splitTrees")
+    // With a proper subspace the seed is read: some pair of seeds draws
+    // different root features. The seeds are spread out, because the first
+    // draws of java.util.Random from small consecutive seeds agree.
+    val pick = new Random(5)
+    val seeds = Seq.fill(20)(pick.nextLong())
+    for (d <- 2 to 6; size <- 1 until d) {
+      val drawn = seeds.map { seed =>
+        val t = new HoeffdingTree(d, 2, HoeffdingTreeConfig(featureSubsetSize = size), seed = seed)
+        t.root match { case l: t.Leaf => l.candidateFeatures.toSeq; case _ => Seq.empty }
+      }
+      assert(drawn.distinct.length > 1, s"d=$d, subspace $size: every seed drew ${drawn.head}")
+    }
+  }
+
   test("property: every candidate feature's split (gain, threshold) equals the verbatim oracle bit for bit") {
     import org.scalacheck.{Gen, Prop, Test => SCTest}
     // Trees grown from weighted rows (weights above 1, as ARF's Poisson(6)

@@ -41,10 +41,10 @@ class WindowFingerprintsSpec extends SparkSpec {
     }
   }
 
-  test("toDf exposes one column per feature plus ts/y/l") {
+  test("toDf exposes one column per feature plus ts/y") {
     val df = WindowFingerprints.toDf(spark, stream.copy(obs = stream.obs.take(50),
       conceptIds = stream.conceptIds.take(50)))
-    assert(df.columns.toSeq == Seq("streamId", "ts", "y", "l", "x0", "x1", "x2"))
+    assert(df.columns.toSeq == Seq("streamId", "ts", "y", "x0", "x1", "x2"))
     assert(df.count() == 50)
   }
 }
