@@ -250,7 +250,7 @@ final class HoeffdingTree(
     * that every candidate threshold of every feature reuses.
     */
   private[classifier] final class SplitSearch(leaf: Leaf, totW: Double) {
-    private val hParent = entropy(leaf.classCounts)
+    private val hParent = entropy(leaf.classCounts, totW)
     private val lCounts = new Array[Double](numClasses)
     private val rCounts = new Array[Double](numClasses)
 
@@ -266,7 +266,7 @@ final class HoeffdingTree(
         leaf.divide(f, thr, lCounts, rCounts)
         val wl = sum(lCounts); val wr = sum(rCounts)
         if (wl > 1e-9 && wr > 1e-9) {
-          val gain = hParent - (wl / totW) * entropy(lCounts) - (wr / totW) * entropy(rCounts)
+          val gain = hParent - (wl / totW) * entropy(lCounts, wl) - (wr / totW) * entropy(rCounts, wr)
           if (gain > bestGain) { bestGain = gain; bestThr = thr }
         }
         k += 1
@@ -335,13 +335,12 @@ object HoeffdingTree {
     s
   }
 
-  /** Shannon entropy in bits of the class distribution `counts`. */
-  private def entropy(counts: Array[Double]): Double = {
-    var tot = 0.0; var i = 0
-    while (i < counts.length) { tot += counts(i); i += 1 }
-    if (tot <= 0) return 0.0
+  /** Shannon entropy in bits of the class distribution `counts`, whose
+    * positive sum `tot` the caller already holds.
+    */
+  private def entropy(counts: Array[Double], tot: Double): Double = {
     var h = 0.0
-    i = 0
+    var i = 0
     while (i < counts.length) {
       val p = counts(i) / tot
       if (p > 1e-12) h -= p * math.log(p) / Ln2

@@ -102,6 +102,9 @@ final class FiCSUM(
     }
   }
 
+  /** The stored concepts other than the active one. */
+  private[core] def inactive: collection.Seq[ConceptState] = repo.filter(s => !(s eq active))
+
   private def simTo(s: ConceptState, raw: Array[Double], weights: Array[Double]): Double =
     Similarity.sim(normalizer.scale(s.stats.meanVector), normalizer.scale(raw), weights)
 
@@ -199,7 +202,7 @@ final class FiCSUM(
     }
 
     if (buf.length == b + w && i % cfg.repoGap == 0 && repo.length > 1) {
-      val others = repo.filter(s => !(s eq active))
+      val others = inactive
       for ((s, fps) <- others.zip(foreignFingerprints(tailWindow, Seq(0), others)); fSC <- fps) {
         normalizer.update(fSC)
         s.scStats.add(fSC)

@@ -46,7 +46,8 @@ object Metrics {
     byConcept.keys.toSeq.map { c =>
       c -> byModel.keys.toSeq.map { m =>
         val tp = co((c, m)).toDouble
-        val p = if (byModel(m) > 0) tp / byModel(m) else 0.0
+        // m is a key of byModel, so byModel(m) ≥ 1.
+        val p = tp / byModel(m)
         val r = tp / byConcept(c)
         m -> (if (p + r > 0) 2 * p * r / (p + r) else 0.0)
       }

@@ -24,10 +24,11 @@ final case class DriftEvent(streamId: Int, ts: Long, prediction: Int, modelId: I
   */
 object StreamingDrift {
 
-  private def serialize(engine: FiCSUM): Array[Byte] = {
+  /** The state store's codec: an object's Java-serialized bytes. */
+  private[repro] def serialize(o: AnyRef): Array[Byte] = {
     val bos = new ByteArrayOutputStream()
     val oos = new ObjectOutputStream(bos)
-    oos.writeObject(engine)
+    oos.writeObject(o)
     oos.close()
     bos.toByteArray
   }
@@ -37,16 +38,16 @@ object StreamingDrift {
     * Scala collection's serialization proxy is scala-library's: under
     * spark-submit that is Spark's loader, which cannot see the application jar.
     */
-  private def deserialize(bytes: Array[Byte]): FiCSUM = {
+  private[repro] def deserialize[A](bytes: Array[Byte]): A = {
     val loader = classOf[FiCSUM].getClassLoader
     val ois = new ObjectInputStream(new ByteArrayInputStream(bytes)) {
       override def resolveClass(desc: ObjectStreamClass): Class[_] =
         try Class.forName(desc.getName, false, loader)
         catch { case _: ClassNotFoundException => super.resolveClass(desc) }
     }
-    val engine = ois.readObject().asInstanceOf[FiCSUM]
+    val o = ois.readObject().asInstanceOf[A]
     ois.close()
-    engine
+    o
   }
 
   /** Pure update function — also used directly in unit tests. */
@@ -60,7 +61,7 @@ object StreamingDrift {
       seed: Long,
   ): Iterator[DriftEvent] = {
     val engine = state.getOption
-      .map(deserialize)
+      .map(deserialize[FiCSUM])
       .getOrElse(new FiCSUM("FiCSUM", numFeatures, numClasses,
         FingerprintSpec.full(numFeatures), cfg, seed))
     val events = rows.toSeq.sortBy(_.ts).map { r =>

@@ -29,9 +29,9 @@ object WindowFingerprints {
       ObsRow(streamId, i.toLong, o.x.toSeq, o.y)
     }
 
-  def toDf(spark: SparkSession, stream: GeneratedStream, streamId: Int = 0): DataFrame = {
+  def toDf(spark: SparkSession, stream: GeneratedStream): DataFrame = {
     import spark.implicits._
-    val df = toRows(stream, streamId).toDF()
+    val df = toRows(stream).toDF()
     val xs = (0 until stream.numFeatures).map(j => element_at(col("features"), j + 1) as s"x$j")
     df.select(df.columns.toSeq.filter(_ != "features").map(col) ++ xs: _*)
   }

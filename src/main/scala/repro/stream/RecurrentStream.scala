@@ -20,13 +20,18 @@ final case class GeneratedStream(
 
 /** Builds recurrent-concept streams: each concept appears `occurrences`
   * times in segments of `segLen` observations, with the occurrence order
-  * shuffled per seed (paper §VI-1). Adjacent duplicate segments are swapped
-  * away so every segment boundary is a real concept drift.
+  * shuffled per seed (paper §VI-1). Most adjacent duplicate segments are
+  * swapped away, but not all (see [[occurrenceOrder]]), so a segment
+  * boundary is not always a concept drift: `conceptIds` says which are.
   */
 object RecurrentStream {
 
-  /** Shuffle concept occurrence order, avoiding adjacent repeats where a
-    * valid arrangement exists.
+  /** Shuffle concept occurrence order, then swap each segment that repeats
+    * its left neighbour with a segment of another concept that neither of
+    * their new neighbours repeats. A repeat stays when no such segment
+    * exists, even where an order without repeats does: with 2 concepts of 3
+    * occurrences, 2 of the 5 boundaries stay repeats at seed 5, although
+    * ABABAB exists. STAGGER at seed 1 keeps 7 real boundaries of 8.
     */
   def occurrenceOrder(numConcepts: Int, occurrences: Int, rng: Random): IndexedSeq[Int] = {
     val order = rng.shuffle((0 until numConcepts).flatMap(c => Seq.fill(occurrences)(c)).toVector)

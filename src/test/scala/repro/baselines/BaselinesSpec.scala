@@ -1,6 +1,7 @@
 package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.sparkstream.StreamingDrift.serialize
 import repro.stream.Datasets
 
 class BaselinesSpec extends AnyFunSuite {
@@ -96,9 +97,7 @@ class BaselinesSpec extends AnyFunSuite {
       new Htcd(3, 2), new Rcd(3, 2), new Dwm(3, 2), new Arf(3, 2))
     systems.foreach { s =>
       stagger.obs.take(300).foreach(o => s.step(o.x, o.y))
-      val bos = new java.io.ByteArrayOutputStream()
-      new java.io.ObjectOutputStream(bos).writeObject(s)
-      assert(bos.size() > 0, s.name)
+      assert(serialize(s).nonEmpty, s.name)
     }
   }
 }

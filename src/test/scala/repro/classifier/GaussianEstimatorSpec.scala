@@ -2,6 +2,7 @@ package repro.classifier
 
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.{Gen, Prop, Test => SCTest}
+import repro.sparkstream.StreamingDrift.{deserialize, serialize}
 
 /** The scalar running mean/σ that `GaussianEstimator` at unit weight
   * replaced (FiCSUM's normal-similarity record and EDDM's error
@@ -132,18 +133,9 @@ class GaussianEstimatorSpec extends AnyFunSuite {
   private def same(a: Double, b: Double) =
     java.lang.Double.doubleToRawLongBits(a) == java.lang.Double.doubleToRawLongBits(b)
 
-  private def roundTrip(e: GaussianEstimator): GaussianEstimator = {
-    val bos = new java.io.ByteArrayOutputStream()
-    val out = new java.io.ObjectOutputStream(bos)
-    out.writeObject(e)
-    out.close()
-    new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bos.toByteArray))
-      .readObject().asInstanceOf[GaussianEstimator]
-  }
-
   /** Whether `e` and a Java copy of it give the oracle's pdf and cdf bits at every probe. */
   private def matchesOracle(e: GaussianEstimator, probes: Seq[Double]): Boolean = {
-    val copy = roundTrip(e)
+    val copy = deserialize[GaussianEstimator](serialize(e))
     (probes :+ e.mean).forall { v =>
       val (p, c) = (EstimatorOracle.pdf(e, v), EstimatorOracle.cdf(e, v))
       same(e.pdf(v), p) && same(e.cdf(v), c) && same(copy.pdf(v), p) && same(copy.cdf(v), c)

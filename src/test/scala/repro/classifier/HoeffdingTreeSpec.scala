@@ -1,6 +1,7 @@
 package repro.classifier
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.sparkstream.StreamingDrift.{deserialize, serialize}
 import scala.util.Random
 
 class HoeffdingTreeSpec extends AnyFunSuite {
@@ -140,10 +141,7 @@ class HoeffdingTreeSpec extends AnyFunSuite {
       val x = Array.fill(2)(rng.nextDouble())
       tree.train(x, if (x(0) > 0.5) 1 else 0)
     }
-    val bos = new java.io.ByteArrayOutputStream()
-    new java.io.ObjectOutputStream(bos).writeObject(tree)
-    val in = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bos.toByteArray))
-    val copy = in.readObject().asInstanceOf[HoeffdingTree]
+    val copy = roundTrip(tree)
     val x = Array(0.25, 0.75)
     assert(copy.predict(x) == tree.predict(x))
     assert(copy.predictProba(x).toSeq == tree.predictProba(x).toSeq)
@@ -151,17 +149,7 @@ class HoeffdingTreeSpec extends AnyFunSuite {
 
   private def bits(a: Array[Double]): Seq[Long] = a.toSeq.map(java.lang.Double.doubleToRawLongBits)
 
-  private def serialized(t: HoeffdingTree): Array[Byte] = {
-    val bos = new java.io.ByteArrayOutputStream()
-    val out = new java.io.ObjectOutputStream(bos)
-    out.writeObject(t)
-    out.close()
-    bos.toByteArray
-  }
-
-  private def roundTrip(t: HoeffdingTree): HoeffdingTree =
-    new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(serialized(t)))
-      .readObject().asInstanceOf[HoeffdingTree]
+  private def roundTrip(t: HoeffdingTree): HoeffdingTree = deserialize[HoeffdingTree](serialize(t))
 
   test("property: train after predict leaves the tree that train alone does, bit for bit") {
     import org.scalacheck.{Gen, Prop, Test => SCTest}
@@ -215,7 +203,7 @@ class HoeffdingTreeSpec extends AnyFunSuite {
       if (fresh.splitEvents > 0) splitTrees += 1
       val later = (0 until 50).map(_ => draw())
       rowsOk && later.forall(x => bits(reusing.predictProba(x)) == bits(fresh.predictProba(x))) &&
-        java.util.Arrays.equals(serialized(reusing), serialized(fresh))
+        java.util.Arrays.equals(serialize(reusing), serialize(fresh))
     }
     val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(200), prop)
     assert(result.passed, result.status.toString)

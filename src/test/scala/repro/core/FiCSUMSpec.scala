@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.classifier.HoeffdingTree
 import repro.eval.Systems
 import repro.meta.MetaFunctions
+import repro.sparkstream.StreamingDrift.{deserialize, serialize}
 import repro.stream.{Datasets, StaggerConcept, RecurrentStream}
 
 class FiCSUMSpec extends AnyFunSuite {
@@ -74,14 +75,7 @@ class FiCSUMSpec extends AnyFunSuite {
   test("engine is serializable mid-stream and resumes identically") {
     val f = full(stagger.numFeatures, stagger.numClasses, seed = 1)
     stagger.obs.take(700).foreach(o => f.step(o.x, o.y))
-
-    def roundTrip(e: FiCSUM): FiCSUM = {
-      val bos = new java.io.ByteArrayOutputStream()
-      new java.io.ObjectOutputStream(bos).writeObject(e)
-      new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bos.toByteArray))
-        .readObject().asInstanceOf[FiCSUM]
-    }
-    val copy = roundTrip(f)
+    val copy = deserialize[FiCSUM](serialize(f))
     val restA = stagger.obs.slice(700, 1100).map(o => f.step(o.x, o.y))
     val restB = stagger.obs.slice(700, 1100).map(o => copy.step(o.x, o.y))
     assert(restA == restB, "serialized engine diverged from original")
@@ -119,6 +113,27 @@ class FiCSUMSpec extends AnyFunSuite {
     val f = Systems.create("fn:Shapley Value", 3, 2, 1).asInstanceOf[FiCSUM]
     stagger.obs.take(1500).foreach(o => f.step(o.x, o.y))
     assert(f.fingerprintUpdates > 0)
+  }
+
+  test("property: every stored concept other than the active one has σ and a sample fingerprint") {
+    // A concept leaves the active slot only through an armed drift, and the
+    // second check discards a fresh concept instead of storing it, so model
+    // selection needs no σ/sample filter. The active concept can lose σ:
+    // ER's and Shapley-only's dim 0 decays at every classifier split.
+    var checks = 0L
+    for (spec <- Seq(Datasets.stagger, Datasets.aqSex); seed <- 1 to 2;
+         name <- Seq("ER", "fn:Shapley Value", "FiCSUM")) {
+      val s = spec.build(seed)
+      val f = Systems.create(name, s.numFeatures, s.numClasses, seed).asInstanceOf[FiCSUM]
+      s.obs.zipWithIndex.foreach { case (o, t) =>
+        f.step(o.x, o.y)
+        f.inactive.foreach { c =>
+          assert(c.stats.sigmaDefined && c.sampleFps.nonEmpty, s"$name, ${spec.name} seed $seed: concept ${c.id} at step $t")
+          checks += 1
+        }
+      }
+    }
+    assert(checks > 0, "no concept was ever stored inactive")
   }
 
   test("config validation: buffer length is positive") {
