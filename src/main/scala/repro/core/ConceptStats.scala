@@ -9,8 +9,26 @@ final class RunningVec(val dim: Int) extends Serializable {
   private val means  = new Array[Double](dim)
   private val m2s    = new Array[Double](dim)
 
+  /** Bumped by every [[add]] and [[decayDims]]; the caches below and the
+    * callers' caches of what they read from this vector are keyed to it.
+    * All are transient, so serialized state is unchanged and a
+    * deserialized vector recomputes them.
+    */
+  @transient private var ver = 0
+  /** σ of every dim at version `sigmasAt` (null: none cached). */
+  @transient private var sigmas: Array[Double] = _
+  @transient private var sigmasAt = 0
+  /** The means scaled by `scaledBy` at this vector's version `scaledAt`
+    * and the normalizer's version `scaledByAt` (null: none cached).
+    */
+  @transient private var scaledMeans: Array[Double] = _
+  @transient private var scaledBy: Normalizer = _
+  @transient private var scaledAt = 0
+  @transient private var scaledByAt = 0
+
   def add(v: Array[Double]): Unit = {
     require(v.length == dim, s"dim mismatch: ${v.length} vs $dim")
+    ver += 1
     var i = 0
     while (i < dim) {
       counts(i) += 1
@@ -21,12 +39,46 @@ final class RunningVec(val dim: Int) extends Serializable {
     }
   }
 
+  private[core] def version: Int = ver
+
   def count(i: Int): Double = counts(i)
   def mean(i: Int): Double  = means(i)
-  def std(i: Int): Double =
-    if (counts(i) > 1) math.sqrt(math.max(m2s(i) / counts(i), 0.0)) else 0.0
+  /** σ of dim i, from a σ vector cached until the next [[add]] or [[decayDims]]. */
+  def std(i: Int): Double = {
+    if (sigmas == null || sigmasAt != ver) {
+      if (sigmas == null) sigmas = new Array[Double](dim)
+      var j = 0
+      while (j < dim) {
+        sigmas(j) = if (counts(j) > 1) math.sqrt(math.max(m2s(j) / counts(j), 0.0)) else 0.0
+        j += 1
+      }
+      sigmasAt = ver
+    }
+    sigmas(i)
+  }
 
-  def meanVector: Array[Double] = means.clone()
+  /** The means scaled by `norm` (what `norm.scale` gives them), cached: a
+    * change of version recomputes every dim, a change of `norm`'s ranges
+    * only the dims in its span-change set. The caller must not write to it.
+    */
+  private[core] def scaledMean(norm: Normalizer): Array[Double] = {
+    if (scaledMeans == null || !(scaledBy eq norm) || scaledAt != ver) {
+      if (scaledMeans == null) scaledMeans = new Array[Double](dim)
+      var i = 0
+      while (i < dim) { scaledMeans(i) = norm.scaled(i, means(i)); i += 1 }
+    } else if (scaledByAt != norm.version) {
+      var i = 0
+      while (i < dim) {
+        if (norm.changedSince(scaledByAt, i)) scaledMeans(i) = norm.scaled(i, means(i))
+        i += 1
+      }
+    }
+    scaledBy = norm
+    scaledAt = ver
+    scaledByAt = norm.version
+    scaledMeans
+  }
+
   def totalCount: Double = if (dim == 0) 0 else counts(0)
 
   /** Whether σ is defined: at least two fingerprints counted. */
@@ -36,10 +88,12 @@ final class RunningVec(val dim: Int) extends Serializable {
     * so subsequent fingerprints move the distribution `1/factor`× faster.
     * Avoids the discontinuity a hard reset would inject into similarity.
     */
-  def decayDims(idx: IterableOnce[Int], factor: Double): Unit =
+  def decayDims(idx: IterableOnce[Int], factor: Double): Unit = {
+    ver += 1
     idx.iterator.foreach { i =>
       if (counts(i) > 0) { counts(i) *= factor; m2s(i) *= factor }
     }
+  }
 }
 
 /** Everything the repository stores per concept (paper Alg. 1 line 26):

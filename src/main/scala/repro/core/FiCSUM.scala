@@ -48,6 +48,11 @@ final class FiCSUM(
   private val normalizer = new Normalizer(spec.dim)
   private var detector   = new SimilarityDetector
 
+  // Scratch and caches of this engine alone (the grid steps engines as
+  // parallel tasks in one JVM); transient, so state bytes are unchanged.
+  @transient private lazy val ws = new Fingerprinter.Workspace(spec)
+  @transient private lazy val dynamicWeights = new DynamicWeights
+
   private var nextId = 0
   private val repo   = mutable.ArrayBuffer.empty[ConceptState]
 
@@ -79,26 +84,32 @@ final class FiCSUM(
 
   // ------------------------------------------------------------- internals
 
-  private def tailWindow: IndexedSeq[Labeled] = buf.takeRight(w).toIndexedSeq
+  private def tailWindow: collection.IndexedSeq[Labeled] = buf.takeRight(w)
 
   /** The w-row windows of `rows` at `starts` as each of `concepts` would see
     * them (paper's F_AS / F_SC): its classifier relabels each row once and,
     * if it attributes rows (`Fingerprinter.attributes`), attributes it in the
     * same leaf evaluation. A window's classifier-free kernel outputs are
-    * computed once for all concepts; every caller passes at least one.
-    * Raw: reads neither the normalizer nor the weights.
+    * computed for the first concept and copied for the others; every caller
+    * passes at least one. Raw: reads neither the normalizer nor the weights.
     */
-  private[core] def foreignFingerprints(rows: IndexedSeq[Labeled], starts: Seq[Int],
+  private[core] def foreignFingerprints(rows: collection.IndexedSeq[Labeled], starts: Seq[Int],
       concepts: collection.Seq[ConceptState]): collection.Seq[Seq[Array[Double]]] = {
-    val shared = starts.map(o => Fingerprinter.classifierFree(spec, rows.slice(o, o + w)))
+    ws.load(rows)
+    var first: Seq[Array[Double]] = null
     concepts.map { s =>
       val attributes = Fingerprinter.attributes(spec, s.classifier)
-      val contribs = if (attributes) rows.map(_ => new Array[Double](numFeatures)) else IndexedSeq.empty
-      val relabeled = rows.indices.map(k => rows(k).copy(l =
-        if (attributes) s.classifier.explain(rows(k).x, contribs(k)) else s.classifier.predict(rows(k).x)))
-      starts.zip(shared).map { case (o, sh) =>
-        Fingerprinter.make(spec, relabeled.slice(o, o + w), contribs.slice(o, o + w), sh)
+      val contribs = if (attributes) rows.indices.map(_ => new Array[Double](numFeatures)) else IndexedSeq.empty
+      var k = 0
+      while (k < rows.length) {
+        ws.l(k) = if (attributes) s.classifier.explain(rows(k).x, contribs(k)) else s.classifier.predict(rows(k).x)
+        k += 1
       }
+      val fps = starts.indices.map { j =>
+        Fingerprinter.make(spec, ws, starts(j), w, contribs, if (first == null) null else first(j))
+      }
+      if (first == null) first = fps
+      fps
     }
   }
 
@@ -106,22 +117,21 @@ final class FiCSUM(
   private[core] def inactive: collection.Seq[ConceptState] = repo.filter(s => !(s eq active))
 
   private def simTo(s: ConceptState, raw: Array[Double], weights: Array[Double]): Double =
-    Similarity.sim(normalizer.scale(s.stats.meanVector), normalizer.scale(raw), weights)
+    Similarity.sim(s.stats.scaledMean(normalizer), normalizer.scale(raw), weights)
 
   private def selectModel(exclude: Option[ConceptState]): Option[ConceptState] = {
     // Average the tested similarity over staggered sub-windows of the
     // buffer to cut single-window sampling noise before the band test.
-    val all = buf.toIndexedSeq
-    val offsets = Seq(0, (all.length - w) / 2, all.length - w).distinct
+    val offsets = Seq(0, (buf.length - w) / 2, buf.length - w).distinct
     // Every stored concept left the active slot armed, so it has σ and samples.
     val tested = repo.filter(s => !exclude.contains(s))
-    val scored = tested.zip(foreignFingerprints(all, offsets, tested)).map { case (s, fps) =>
+    val scored = tested.zip(foreignFingerprints(buf, offsets, tested)).map { case (s, fps) =>
       // Per-candidate weights (w_σ is the *candidate's* per-dim scale) and
       // a self-similarity band recomputed from retained sample
       // fingerprints under the current normalizer/weights (§IV).
-      val ws = DynamicWeights.compute(s, repo.toIndexedSeq, normalizer)
-      val sims = fps.map(fp => simTo(s, fp, ws))
-      val selfSims = s.sampleFps.toSeq.map(fp => simTo(s, fp, ws))
+      val weights = dynamicWeights.compute(s, repo, normalizer)
+      val sims = fps.map(fp => simTo(s, fp, weights))
+      val selfSims = s.sampleFps.toSeq.map(fp => simTo(s, fp, weights))
       (s, Metrics.mean(sims), Metrics.mean(selfSims), Metrics.stdDev(selfSims))
     }
     // Two-sided acceptance (paper: |Sim − μ_s| ≤ 2σ_s, with a floor), plus
@@ -167,17 +177,18 @@ final class FiCSUM(
     val full = buf.length == b + w
     if (full && i % FingerprintGap == 0) {
       fingerprints += 1
-      // Each buffer row is attributed once; A is the tail window, B the head.
-      val rows = buf.toIndexedSeq
-      val contribs = Fingerprinter.contributions(spec, rows, active.classifier)
-      val fA = Fingerprinter.make(spec, rows.takeRight(w), contribs.takeRight(w))
-      val fB = Fingerprinter.make(spec, rows.take(w), contribs.take(w))
+      // Each buffer row is loaded and attributed once; A is the tail
+      // window, B the head.
+      val contribs = Fingerprinter.contributions(spec, buf, active.classifier)
+      ws.load(buf)
+      val fA = Fingerprinter.make(spec, ws, b, w, contribs, null)
+      val fB = Fingerprinter.make(spec, ws, 0, w, contribs, null)
       normalizer.update(fA)
       normalizer.update(fB)
       // Plasticity (§IV): a split is suspicious while the similarity sits
       // below the concept's normal band; every handled split holds breaches.
       if (active.onSplit(spec.classifierDependentDims, detector.suspicious(active.simStats))) detector.holdBreaches()
-      val weights = DynamicWeights.compute(active, repo.toIndexedSeq, normalizer)
+      val weights = dynamicWeights.compute(active, repo, normalizer)
       lastWeights = weights
 
       // Bounded incorporation, then the normal-similarity record

@@ -103,32 +103,68 @@ object FingerprintSpec {
 /** Builds raw fingerprint vectors from windows (paper Fig. 2). */
 object Fingerprinter {
 
-  private def sourceSeq(s: Source, window: IndexedSeq[Labeled]): Array[Double] = s match {
-    case FeatureSource(j) =>
-      val a = new Array[Double](window.length)
+  /** What one engine fingerprints from: a block of rows as columns (the
+    * features the spec's sources read, y and l, each row i at index i) and
+    * the kernel's scratch. The engine loads its buffer once per fingerprint
+    * step and reads every window of it from here. It serves one caller at
+    * a time: each engine owns one, and nothing shares one between threads.
+    */
+  final class Workspace(spec: FingerprintSpec) {
+    private[core] val kernel = new SeqStats.Workspace
+    private val features = spec.sources.collect { case FeatureSource(j) => j }.distinct.toArray
+    private[core] val x = new Array[Array[Double]](spec.numFeatures)
+    private[core] var y: Array[Double] = Array.emptyDoubleArray
+    private[core] var l: Array[Double] = Array.emptyDoubleArray
+    /** The error and error-distance sources of one window. */
+    private[core] var seq: Array[Double] = Array.emptyDoubleArray
+
+    /** Copies `rows` into the columns. */
+    def load(rows: collection.IndexedSeq[Labeled]): this.type = {
+      val n = rows.length
+      if (y.length < n) {
+        y = new Array[Double](n); l = new Array[Double](n); seq = new Array[Double](n)
+        features.foreach(j => x(j) = new Array[Double](n))
+      }
       var i = 0
-      while (i < window.length) { a(i) = window(i).x(j); i += 1 }
-      a
-    case LabelSource => window.map(_.y.toDouble).toArray
-    case PredSource  => window.map(_.l.toDouble).toArray
-    case ErrorSource => window.map(o => if (o.y != o.l) 1.0 else 0.0).toArray
+      while (i < n) {
+        val o = rows(i)
+        y(i) = o.y
+        l(i) = o.l
+        var f = 0
+        while (f < features.length) { val j = features(f); x(j)(i) = o.x(j); f += 1 }
+        i += 1
+      }
+      this
+    }
+  }
+
+  /** Kernel outputs of source `s` over rows `from until from + w` of `ws`. */
+  private def describe(s: Source, ws: Workspace, from: Int, w: Int, slots: Int): Array[Double] = s match {
+    case FeatureSource(j) => SeqStats.describe(ws.x(j), from, w, slots, ws.kernel)
+    case LabelSource      => SeqStats.describe(ws.y, from, w, slots, ws.kernel)
+    case PredSource       => SeqStats.describe(ws.l, from, w, slots, ws.kernel)
+    case ErrorSource =>
+      var i = 0
+      while (i < w) { ws.seq(i) = if (ws.y(from + i) != ws.l(from + i)) 1.0 else 0.0; i += 1 }
+      SeqStats.describe(ws.seq, 0, w, slots, ws.kernel)
     case ErrorDistSource =>
-      val errIdx = window.zipWithIndex.collect { case (o, i) if o.y != o.l => i }
+      var errors = 0
+      var last = 0
+      var i = 0
+      while (i < w) {
+        if (ws.y(from + i) != ws.l(from + i)) {
+          if (errors > 0) ws.seq(errors - 1) = (i - last).toDouble
+          errors += 1
+          last = i
+        }
+        i += 1
+      }
       // Higher-order stats of a handful of gaps are pure noise; below 5 gaps
       // represent the source as the constant "max distance" sequence so its
       // dims sit still instead of spiking randomly in stationary phases.
-      if (errIdx.length < 6) Array(window.length.toDouble)
-      else errIdx.sliding(2).map(p => (p(1) - p(0)).toDouble).toArray
+      if (errors < 6) { ws.seq(0) = w.toDouble; SeqStats.describe(ws.seq, 0, 1, slots, ws.kernel) }
+      else SeqStats.describe(ws.seq, 0, errors - 1, slots, ws.kernel)
   }
-
-  /** Kernel outputs of the classifier-free sources of `window` (input
-    * features and labels) under `spec`. They do not depend on which
-    * classifier relabels the window, so every stored concept's foreign
-    * fingerprint of one window can share them.
-    */
-  def classifierFree(spec: FingerprintSpec, window: IndexedSeq[Labeled]): Map[Source, Array[Double]] =
-    spec.sources.filter(_.classifierFree)
-      .map(s => s -> SeqStats.describe(sourceSeq(s, window), spec.slots)).toMap
 
   /** Whether `tree` attributes rows under `spec`: only with Shapley dims, and
     * only once it has split. A root leaf attributes +0.0 to every feature,
@@ -140,9 +176,9 @@ object Fingerprinter {
   /** Path attributions of each of `rows` under `tree`, one leaf evaluation
     * per row; empty when the tree does not attribute them (`attributes`).
     */
-  def contributions(spec: FingerprintSpec, rows: IndexedSeq[Labeled], tree: HoeffdingTree): IndexedSeq[Array[Double]] =
+  def contributions(spec: FingerprintSpec, rows: collection.IndexedSeq[Labeled], tree: HoeffdingTree): IndexedSeq[Array[Double]] =
     if (!attributes(spec, tree)) IndexedSeq.empty
-    else rows.map { o => val c = new Array[Double](tree.numFeatures); tree.explain(o.x, c); c }
+    else rows.iterator.map { o => val c = new Array[Double](tree.numFeatures); tree.explain(o.x, c); c }.toIndexedSeq
 
   /** Raw (unnormalized) fingerprint of `window`. `classifier` supplies the
     * Shapley (path-attribution) dimensions when the spec includes them.
@@ -154,36 +190,54 @@ object Fingerprinter {
   ): Array[Double] =
     make(spec, window, classifier.fold(IndexedSeq.empty[Array[Double]])(contributions(spec, window, _)))
 
-  /** Raw fingerprint of `window` from precomputed parts: `contribs(i)` are
-    * row i's path attributions (empty: no classifier, zero Shapley dims),
-    * and `shared` holds kernel outputs of sources already computed for
-    * this window (see [[classifierFree]]).
+  /** Raw fingerprint of `window` with `contribs(i)` as row i's path
+    * attributions (empty: no classifier, zero Shapley dims).
+    */
+  def make(spec: FingerprintSpec, window: IndexedSeq[Labeled], contribs: IndexedSeq[Array[Double]]): Array[Double] =
+    make(spec, new Workspace(spec).load(window), 0, window.length, contribs, null)
+
+  /** Raw fingerprint of the rows `from until from + w` loaded in `ws`.
+    * `contribs(i)` are loaded row i's path attributions (empty: none).
+    * `shared`, if not null, is a fingerprint of the same rows under another
+    * classifier: the classifier-free sources (input features and labels)
+    * do not depend on which classifier labels the rows, so their dims are
+    * copied from it instead of computed.
     */
   def make(
       spec: FingerprintSpec,
-      window: IndexedSeq[Labeled],
+      ws: Workspace,
+      from: Int,
+      w: Int,
       contribs: IndexedSeq[Array[Double]],
-      shared: Map[Source, Array[Double]] = Map.empty,
+      shared: Array[Double],
   ): Array[Double] = {
-    require(window.nonEmpty, "cannot fingerprint an empty window")
+    require(w > 0, "cannot fingerprint an empty window")
     val out = new Array[Double](spec.dim)
+    val nf = spec.functions.length
     var k = 0
     for (s <- spec.sources) {
-      val vals = shared.getOrElse(s, SeqStats.describe(sourceSeq(s, window), spec.slots))
-      for (fn <- spec.functions) {
-        out(k) = vals(fn.slot)
-        k += 1
+      if (shared != null && s.classifierFree) System.arraycopy(shared, k, out, k, nf)
+      else {
+        val vals = describe(s, ws, from, w, spec.slots)
+        var f = 0
+        while (f < nf) { out(k + f) = vals(spec.functions(f).slot); f += 1 }
       }
+      k += nf
     }
     if (spec.includeShapley) {
       val acc = new Array[Double](spec.numFeatures)
-      for (c <- contribs) {
-        var j = 0
-        while (j < spec.numFeatures) { acc(j) += c(j); j += 1 }
+      if (contribs.nonEmpty) {
+        var i = from
+        while (i < from + w) {
+          val c = contribs(i)
+          var j = 0
+          while (j < spec.numFeatures) { acc(j) += c(j); j += 1 }
+          i += 1
+        }
       }
       var j = 0
       while (j < spec.numFeatures) {
-        out(k) = acc(j) / window.length
+        out(k) = acc(j) / w
         k += 1; j += 1
       }
     }

@@ -39,75 +39,80 @@ object Emd {
     (t, u)
   }
 
-  /** Writes into `out` the linear interpolation of `h` between the knots
-    * `idx(0 until k)` (strictly increasing from 0 to h.length − 1), one
-    * segment at a time. Point i of segment (i0, i1] — [i0, i1] for the
-    * first — is `h(i0) * (1 - t) + h(i1) * t` with t = (i − i0) / (i1 − i0).
+  /** The linear interpolation of `h` at point i between the knots
+    * `idx(s)` and `idx(s + 1)` of i's segment: segment s holds the points
+    * (idx(s), idx(s + 1)], and the first also holds point 0. It is
+    * `h(i0) * (1 - t) + h(i1) * t` with t = (i − i0) / (i1 − i0).
     */
-  private def envelope(h: Array[Double], idx: Array[Int], k: Int, out: Array[Double]): Unit = {
-    var i = 0
-    var s = 0
-    while (s < k - 1) {
-      val i0 = idx(s); val i1 = idx(s + 1)
-      val a = h(i0); val c = h(i1)
-      val len = i1 - i0
-      if (len <= TableMax) {
-        val row = len * (len + 1) / 2 - i0
-        while (i <= i1) { out(i) = a * oneMinusT(row + i) + c * tTable(row + i); i += 1 }
-      } else {
-        while (i <= i1) {
-          val t = (i - i0).toDouble / len
-          out(i) = a * (1 - t) + c * t
-          i += 1
-        }
-      }
-      s += 1
+  private def interpolate(h: Array[Double], idx: Array[Int], s: Int, i: Int): Double = {
+    val i0 = idx(s); val i1 = idx(s + 1)
+    val len = i1 - i0
+    if (len <= TableMax) {
+      val k = len * (len + 1) / 2 + (i - i0)
+      h(i0) * oneMinusT(k) + h(i1) * tTable(k)
+    } else {
+      val t = (i - i0).toDouble / len
+      h(i0) * (1 - t) + h(i1) * t
     }
   }
 
-  /** Extract one IMF from `xs` by sifting; returns (imf, residual). A
-    * signal with no interior extrema is a pure trend: its IMF is zero and
-    * the residual is the signal itself. IMF k+1 is sifted from IMF k's
-    * residual.
+  /** Sifts one IMF from `xs(from until from + n)` and returns the workspace
+    * array that holds it in its first n entries (the rest is scratch). It
+    * stays valid until the next sift on `ws`. A signal with no interior
+    * extrema is a pure trend: its IMF is zero. IMF k+1 is sifted from
+    * IMF k's residual, the signal minus the IMF.
     *
     * Each pass anchors both envelopes at the endpoints, so their knots are
-    * 0, the interior maxima (minima), then n − 1. The buffers are allocated
-    * once per call: sifting ping-pongs between `h` and `next`.
+    * 0, the interior maxima (minima), then n − 1, and writes
+    * h(i) − (upper(i) + lower(i)) / 2 in one walk over the points, with a
+    * segment cursor per envelope. The extrema scan writes every interior
+    * index and advances a knot count by the test's outcome, and each cursor
+    * advances by an integer sign bit at its segment's last point, so
+    * neither takes a data-dependent branch. Sifting ping-pongs between two workspace
+    * buffers.
     */
-  def siftImf(xs: Array[Double]): (Array[Double], Array[Double]) = {
-    val n = xs.length
-    var h = xs.clone()
-    var next = new Array[Double](n)
-    val upper = new Array[Double](n)
-    val maxIdx = new Array[Int](n + 2)
-    val minIdx = new Array[Int](n + 2)
+  def siftImf(xs: Array[Double], from: Int, n: Int, ws: SeqStats.Workspace): Array[Double] = {
+    ws.ensureSift(n)
+    var h = ws.h
+    var next = ws.next
+    val maxIdx = ws.maxIdx
+    val minIdx = ws.minIdx
+    System.arraycopy(xs, from, h, 0, n)
     var pass = 0
     var ok = true
     while (pass < MaxSift && ok) {
       var nMax = 1; var nMin = 1
       var i = 1
       while (i < n - 1) {
-        if (h(i) > h(i - 1) && h(i) >= h(i + 1)) { maxIdx(nMax) = i; nMax += 1 }
-        if (h(i) < h(i - 1) && h(i) <= h(i + 1)) { minIdx(nMin) = i; nMin += 1 }
+        val a = h(i - 1); val c = h(i); val e = h(i + 1)
+        maxIdx(nMax) = i
+        minIdx(nMin) = i
+        nMax += (if (c > a & c >= e) 1 else 0)
+        nMin += (if (c < a & c <= e) 1 else 0)
         i += 1
       }
       // Fewer than one interior extremum of each kind: h is a trend.
       if (nMax == 1 || nMin == 1) {
-        if (pass == 0) java.util.Arrays.fill(h, 0.0) // pure trend: zero IMF
+        if (pass == 0) java.util.Arrays.fill(h, 0, n, 0.0) // pure trend: zero IMF
         ok = false
       } else {
         maxIdx(nMax) = n - 1; minIdx(nMin) = n - 1
-        envelope(h, maxIdx, nMax + 1, upper)
-        envelope(h, minIdx, nMin + 1, next)
+        var up = 0; var low = 0
         i = 0
-        while (i < n) { next(i) = h(i) - 0.5 * (upper(i) + next(i)); i += 1 }
+        while (i < n) {
+          val upper = interpolate(h, maxIdx, up, i)
+          val lower = interpolate(h, minIdx, low, i)
+          next(i) = h(i) - 0.5 * (upper + lower)
+          // i ≤ the segment's last knot, so (knot − i − 1) >>> 31 is 1 at
+          // the knot and 0 before it: the cursor moves on after its knot.
+          up += (maxIdx(up + 1) - i - 1) >>> 31
+          low += (minIdx(low + 1) - i - 1) >>> 31
+          i += 1
+        }
         val t = h; h = next; next = t
       }
       pass += 1
     }
-    val residual = new Array[Double](n)
-    var i = 0
-    while (i < n) { residual(i) = xs(i) - h(i); i += 1 }
-    (h, residual)
+    h
   }
 }

@@ -16,10 +16,51 @@ object SeqStats {
   /** Equal-width histogram bins of the MI and IMF-entropy estimates. */
   private val Bins = 8
 
-  /** The 12 Table I values of `xs` in [[MetaFunctions.all]] order (slot i
-    * is `all(i)`). `slots` is a bit mask over those indices: groups with no
-    * selected slot are skipped and read 0, so a mean-only fingerprint costs
-    * one pass.
+  /** The kernel's scratch arrays, grown to the longest input so far and
+    * allocated only for the slot groups a caller selects. [[describe]]
+    * writes its 12 values into `out`. A workspace serves one caller at a
+    * time: each engine owns one, and nothing shares one between threads.
+    */
+  final class Workspace {
+    private[meta] val out = new Array[Double](12)
+    private[meta] var dev: Array[Double] = Array.emptyDoubleArray
+    private[meta] var joint: Array[Double] = Array.emptyDoubleArray
+    private[meta] var px: Array[Double] = Array.emptyDoubleArray
+    private[meta] var py: Array[Double] = Array.emptyDoubleArray
+    private[meta] var hist: Array[Double] = Array.emptyDoubleArray
+    private[meta] var h: Array[Double] = Array.emptyDoubleArray
+    private[meta] var next: Array[Double] = Array.emptyDoubleArray
+    private[meta] var residual: Array[Double] = Array.emptyDoubleArray
+    private[meta] var maxIdx: Array[Int] = Array.emptyIntArray
+    private[meta] var minIdx: Array[Int] = Array.emptyIntArray
+
+    private[meta] def ensureCentred(n: Int): Unit =
+      if (dev.length < n) dev = new Array[Double](n)
+
+    private[meta] def ensureBins(): Unit =
+      if (hist.length == 0) {
+        joint = new Array[Double](Bins * Bins)
+        px = new Array[Double](Bins); py = new Array[Double](Bins); hist = new Array[Double](Bins)
+      }
+
+    private[meta] def ensureSift(n: Int): Unit =
+      if (h.length < n) {
+        h = new Array[Double](n); next = new Array[Double](n)
+        residual = new Array[Double](n)
+        maxIdx = new Array[Int](n + 2); minIdx = new Array[Int](n + 2)
+      }
+  }
+
+  /** The 12 Table I values of `xs`, in a fresh array. */
+  def describe(xs: Array[Double], slots: Int = AllSlots): Array[Double] =
+    describe(xs, 0, xs.length, slots, new Workspace)
+
+  /** The 12 Table I values of `xs(from until from + n)` in
+    * [[MetaFunctions.all]] order (slot i is `all(i)`), written into and
+    * returned as `ws.out`. `slots` is a bit mask over those indices: groups
+    * with no selected slot are skipped and read 0, so a mean-only
+    * fingerprint costs one pass. Nothing is allocated once `ws` has grown
+    * to n.
     *
     * Shared quantities are computed once: the mean, then Σ(x−μ)² (std and
     * the ACF denominator), then one pass for the standardized third and
@@ -27,19 +68,20 @@ object SeqStats {
     * PACF follows from the ACF by Durbin–Levinson, and the EMD chain sifts
     * IMF2 from IMF1's residual.
     */
-  def describe(xs: Array[Double], slots: Int = AllSlots): Array[Double] = {
-    val out = new Array[Double](12)
-    val n = xs.length
+  def describe(xs: Array[Double], from: Int, n: Int, slots: Int, ws: Workspace): Array[Double] = {
+    val out = ws.out
+    java.util.Arrays.fill(out, 0.0)
     var s = 0.0; var i = 0
-    while (i < n) { s += xs(i); i += 1 }
+    while (i < n) { s += xs(from + i); i += 1 }
     val mu = if (n == 0) 0.0 else s / n
     out(0) = mu
 
     if ((slots & CentredSlots) != 0 && n >= 2) {
-      val dev = new Array[Double](n)
+      ws.ensureCentred(n)
+      val dev = ws.dev
       var ss = 0.0
       i = 0
-      while (i < n) { val d = xs(i) - mu; dev(i) = d; ss += d * d; i += 1 }
+      while (i < n) { val d = xs(from + i) - mu; dev(i) = d; ss += d * d; i += 1 }
       // Population standard deviation.
       val sd = math.sqrt(ss / n)
       out(1) = sd
@@ -53,7 +95,8 @@ object SeqStats {
         if (i + 1 < n) {
           num1 += d * dev(i + 1)
           if (i + 2 < n) num2 += d * dev(i + 2)
-          if (i > 0 && (xs(i) - xs(i - 1)) * (xs(i + 1) - xs(i)) < 0) tp += 1
+          val j = from + i
+          if (i > 0 && (xs(j) - xs(j - 1)) * (xs(j + 1) - xs(j)) < 0) tp += 1
         }
         i += 1
       }
@@ -74,47 +117,58 @@ object SeqStats {
     val denom = 1.0 - r1 * r1
     out(7) = if (math.abs(denom) < 1e-9) 0.0 else (r2 - r1 * r1) / denom
 
-    if ((slots & MiSlot) != 0) out(8) = lagMutualInformation(xs)
+    if ((slots & MiSlot) != 0) out(8) = lagMutualInformation(xs, from, n, ws)
     if ((slots & (Imf1Slot | Imf2Slot)) != 0 && n >= 8) {
-      val (imf1, residual) = Emd.siftImf(xs)
-      if ((slots & Imf1Slot) != 0) out(10) = histogramEntropy(imf1)
-      if ((slots & Imf2Slot) != 0) out(11) = histogramEntropy(Emd.siftImf(residual)._1)
+      val imf1 = Emd.siftImf(xs, from, n, ws)
+      if ((slots & Imf1Slot) != 0) out(10) = histogramEntropy(imf1, 0, n, ws)
+      if ((slots & Imf2Slot) != 0) {
+        val residual = ws.residual
+        i = 0
+        while (i < n) { residual(i) = xs(from + i) - imf1(i); i += 1 }
+        out(11) = histogramEntropy(Emd.siftImf(residual, 0, n, ws), 0, n, ws)
+      }
     }
     out
   }
 
-  /** Counts on the equal-width [[Bins]]-bin grid over the range of `xs`,
-    * row-major Bins × Bins: entry a·Bins + b counts the i with
-    * bin(x_i) = a and bin(x_{i+lag}) = b, for lag 0 (the histogram of `xs`,
-    * on the diagonal) or 1. Empty when `xs` has no range (constant input).
-    * The bin of v is min(Bins − 1, ⌊(v − lo) / (hi − lo) · Bins⌋).
+  /** Counts into `counts` on the equal-width [[Bins]]-bin grid over the
+    * range of `xs(from until from + n)`: for lag 0 the histogram (entry
+    * a counts the i with bin(x_i) = a), for lag 1 the row-major
+    * Bins × Bins joint counts (entry a·Bins + b counts the i with
+    * bin(x_i) = a and bin(x_{i+1}) = b). False, with `counts` untouched,
+    * when the values have no range (constant input). The bin of v is
+    * min(Bins − 1, ⌊(v − lo) / (hi − lo) · Bins⌋).
     */
-  private def binCounts(xs: Array[Double], lag: Int): Array[Double] = {
+  private def binCounts(xs: Array[Double], from: Int, n: Int, lag: Int, counts: Array[Double]): Boolean = {
     var lo = Double.PositiveInfinity; var hi = Double.NegativeInfinity
-    var i = 0
-    while (i < xs.length) { if (xs(i) < lo) lo = xs(i); if (xs(i) > hi) hi = xs(i); i += 1 }
-    if (!(hi > lo)) return Array.emptyDoubleArray
-    val counts = new Array[Double](Bins * Bins)
+    var i = from
+    val end = from + n
+    while (i < end) { if (xs(i) < lo) lo = xs(i); if (xs(i) > hi) hi = xs(i); i += 1 }
+    if (!(hi > lo)) return false
+    java.util.Arrays.fill(counts, 0.0)
     var prev = 0
-    i = 0
-    while (i < xs.length) {
+    i = from
+    while (i < end) {
       val b = math.min(Bins - 1, ((xs(i) - lo) / (hi - lo) * Bins).toInt)
-      if (i >= lag) counts((if (lag == 0) b else prev) * Bins + b) += 1
+      if (lag == 0) counts(b) += 1
+      else if (i > from) counts(prev * Bins + b) += 1
       prev = b
       i += 1
     }
-    counts
+    true
   }
 
   /** Lag-1 mutual information (nats) between x_t and x_{t+1}, estimated on
     * an equal-width joint histogram. Captures nonlinear temporal dependence.
     */
-  private[meta] def lagMutualInformation(xs: Array[Double]): Double = {
-    val n = xs.length - 1
+  private[meta] def lagMutualInformation(xs: Array[Double], from: Int, len: Int, ws: Workspace): Double = {
+    val n = len - 1
     if (n < 4) return 0.0
-    val joint = binCounts(xs, 1)
-    if (joint.isEmpty) return 0.0
-    val px = new Array[Double](Bins); val py = new Array[Double](Bins)
+    ws.ensureBins()
+    val joint = ws.joint
+    if (!binCounts(xs, from, len, 1, joint)) return 0.0
+    val px = ws.px; val py = ws.py
+    java.util.Arrays.fill(px, 0.0); java.util.Arrays.fill(py, 0.0)
     var k = 0
     while (k < joint.length) { px(k / Bins) += joint(k); py(k % Bins) += joint(k); k += 1 }
     var mi = 0.0
@@ -127,16 +181,18 @@ object SeqStats {
     math.max(mi, 0.0)
   }
 
-  /** Shannon entropy (nats) of an equal-width histogram of the sequence. */
-  private[meta] def histogramEntropy(xs: Array[Double]): Double = {
-    if (xs.length < 2) return 0.0
-    val counts = binCounts(xs, 0)
+  /** Shannon entropy (nats) of an equal-width histogram of `xs(from until from + n)`. */
+  private[meta] def histogramEntropy(xs: Array[Double], from: Int, n: Int, ws: Workspace): Double = {
+    if (n < 2) return 0.0
+    ws.ensureBins()
+    val counts = ws.hist
+    if (!binCounts(xs, from, n, 0, counts)) return 0.0
     var h = 0.0
     var k = 0
-    while (k < counts.length) {
-      val p = counts(k) / xs.length
+    while (k < Bins) {
+      val p = counts(k) / n
       if (p > 0) h -= p * math.log(p)
-      k += Bins + 1
+      k += 1
     }
     h
   }

@@ -82,6 +82,35 @@ class FiCSUMSpec extends AnyFunSuite {
     assert(f.driftCount == copy.driftCount)
   }
 
+  test("a round trip with warm caches continues bit-identically and serializes to the same size") {
+    val aq = Datasets.aqSex.build(1)
+    val f = full(aq.numFeatures, aq.numClasses, seed = 1)
+    aq.obs.take(2500).foreach(o => f.step(o.x, o.y))
+    // The workspace and the weight, σ and scaled-mean caches are warm in `f`
+    // and cold in `copy`; none of them is part of the serialized state.
+    val bytes = serialize(f)
+    val copy = deserialize[FiCSUM](bytes)
+    assert(serialize(copy).length == bytes.length)
+    val rest = aq.obs.slice(2500, 4000)
+    assert(rest.map(o => f.step(o.x, o.y)) == rest.map(o => copy.step(o.x, o.y)))
+    assert(f.probe() == copy.probe() && f.driftCount == copy.driftCount)
+    assert(serialize(f).length == serialize(copy).length)
+  }
+
+  test("two engines stepped in turn on one thread give the outcomes of each run alone") {
+    val aqSex = Datasets.aqSex.build(2)
+    val aq = aqSex.obs.take(2500)
+    val st = stagger.obs.take(2500)
+    def engines() = (full(aqSex.numFeatures, aqSex.numClasses, seed = 2),
+      Systems.create("U-MI", stagger.numFeatures, stagger.numClasses, 2).asInstanceOf[FiCSUM])
+    val (a, b) = engines()
+    val alone = (aq.map(o => a.step(o.x, o.y)), st.map(o => b.step(o.x, o.y)))
+    val (c, d) = engines()
+    val inTurn = aq.zip(st).map { case (p, q) => (c.step(p.x, p.y), d.step(q.x, q.y)) }
+    assert(inTurn.map(_._1) == alone._1 && inTurn.map(_._2) == alone._2)
+    assert(c.driftCount == a.driftCount && d.driftCount == b.driftCount)
+  }
+
   test("recurrences reuse stored classifiers (repo smaller than segments)") {
     // 3 concepts x 4 occurrences = 12 segments; a working model-selection
     // keeps the repository well below one-concept-per-segment.

@@ -36,7 +36,7 @@ class FingerprintSpecSuite extends AnyFunSuite {
     // 3 sources * 12 functions + 2 shapley dims
     assert(names.length == 3 * 12 + 2)
     // Each source is either shared across classifiers or classifier-dependent.
-    val free = Fingerprinter.classifierFree(spec, window).keySet
+    val free = spec.sources.filter(_.classifierFree).toSet
     val dependent = spec.classifierDependentDims.toSet
     for ((s, si) <- spec.sources.zipWithIndex) {
       val dims = spec.functions.indices.map(si * spec.functions.length + _)
@@ -123,6 +123,33 @@ class RunningVecSpec extends AnyFunSuite {
 
   test("dimension mismatch is rejected") {
     intercept[IllegalArgumentException](new RunningVec(2).add(Array(1.0)))
+  }
+
+  test("property: counts, means and the cached σ equal the uncached oracle after any interleaving of add and decayDims") {
+    import org.scalacheck.{Gen, Prop, Test => SCTest}
+    def bits(v: Double) = java.lang.Double.doubleToLongBits(v)
+    val prop = Prop.forAll(Gen.choose(0L, Long.MaxValue)) { seed =>
+      val rng = new scala.util.Random(seed)
+      val dim = 1 + rng.nextInt(5)
+      val rv = new RunningVec(dim)
+      val oracle = new RunningVecOracle(dim)
+      (0 until 40).forall { _ =>
+        if (rng.nextInt(3) == 0) {
+          val dims = (0 until dim).filter(_ => rng.nextBoolean())
+          rv.decayDims(dims, 0.3); oracle.decayDims(dims, 0.3)
+        } else {
+          val v = Array.fill(dim)(if (rng.nextInt(5) == 0) 1.0 else rng.nextGaussian())
+          rv.add(v); oracle.add(v)
+        }
+        // Reads skip some steps, so the σ cache also sees several changes at once.
+        rng.nextBoolean() || (0 until dim).forall { i =>
+          bits(rv.count(i)) == bits(oracle.count(i)) && bits(rv.mean(i)) == bits(oracle.mean(i)) &&
+            bits(rv.std(i)) == bits(oracle.std(i))
+        }
+      }
+    }
+    val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(500), prop)
+    assert(result.passed, result.status.toString)
   }
 
   test("decayDims keeps mean and std but shrinks counts") {

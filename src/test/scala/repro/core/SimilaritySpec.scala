@@ -88,6 +88,46 @@ class SimilaritySpec extends AnyFunSuite {
   test("length mismatch is rejected") {
     intercept[IllegalArgumentException](Similarity.sim(Array(1.0), Array(1.0, 2.0), ones(2)))
   }
+
+  test("property: top-k sim equals the sort-based oracle bit for bit for n = 1 to 900") {
+    import org.scalacheck.{Gen, Prop, Test => SCTest}
+    // Few distinct values make ties; ±0.0, NaN and ±∞ reach the squared
+    // deviations as 0, NaN and ∞ (∞ · 0 and ∞ − ∞ give NaN).
+    val value: Gen[Double] = Gen.frequency(
+      6 -> Gen.choose(-2.0, 2.0),
+      3 -> Gen.oneOf(0.0, 0.25, 0.5, 1.0),
+      1 -> Gen.oneOf(0.0, -0.0, Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity, Double.MinPositiveValue),
+    )
+    val vectors = for {
+      n <- Gen.frequency(3 -> Gen.choose(1, 40), 2 -> Gen.choose(41, 900))
+      a <- Gen.containerOfN[Array, Double](n, value)
+      b <- Gen.containerOfN[Array, Double](n, value)
+      w <- Gen.containerOfN[Array, Double](n, Gen.frequency(4 -> Gen.choose(0.0, 5.0), 1 -> value))
+    } yield (a, b, w)
+    val prop = Prop.forAll(vectors) { case (a, b, w) =>
+      java.lang.Double.doubleToLongBits(Similarity.sim(a, b, w)) ==
+        java.lang.Double.doubleToLongBits(SimilarityOracle.sim(a, b, w))
+    }
+    val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(2000), prop)
+    assert(result.passed, result.status.toString)
+    // Every n in 1 to 900 once, on ties and specials alike.
+    val rng = new scala.util.Random(9)
+    def draw(): Double = rng.nextInt(8) match {
+      case 0 => Double.NaN
+      case 1 => Double.PositiveInfinity
+      case 2 => -0.0
+      case 3 => 0.0
+      case 4 => 0.5
+      case _ => rng.nextGaussian()
+    }
+    (1 to 900).foreach { n =>
+      val (a, b, w) = (Array.fill(n)(draw()), Array.fill(n)(draw()), Array.fill(n)(math.abs(draw())))
+      val clean = Array.fill(n)(rng.nextInt(3).toDouble)
+      for ((x, y, v) <- Seq((a, b, w), (clean, b.map(v => if (v.isNaN || v.isInfinite) 1.0 else v), ones(n))))
+        assert(java.lang.Double.doubleToLongBits(Similarity.sim(x, y, v)) ==
+          java.lang.Double.doubleToLongBits(SimilarityOracle.sim(x, y, v)), s"n = $n")
+    }
+  }
 }
 
 class DynamicWeightsSpec extends AnyFunSuite {
@@ -183,6 +223,55 @@ class DynamicWeightsOracleSpec extends AnyFunSuite {
         WeightsOracle.compute(active, repo, norm).toSeq.map(java.lang.Double.doubleToLongBits)
     }
     val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(1000), prop)
+    assert(result.passed, result.status.toString)
+  }
+
+  private def bits(a: Array[Double]): Seq[Long] = a.toSeq.map(java.lang.Double.doubleToLongBits)
+
+  test("property: one instance's incremental compute equals the oracle after every change to its inputs") {
+    // Random interleavings of everything compute reads: normalizer updates,
+    // stats and scStats adds, decays, repository adds and removes, and
+    // active swaps (to a stored concept or to one outside the repository).
+    val prop = Prop.forAll(Gen.choose(0L, Long.MaxValue)) { seed =>
+      val (first, initial, norm) = scenario(seed, 3)
+      val rng = new Random(seed ^ 0x5DEECE66DL)
+      val dim = first.dim
+      def row(): Array[Double] = Array.tabulate(dim)(_ =>
+        if (rng.nextInt(4) == 0) rng.nextInt(3).toDouble else rng.nextGaussian() * (1 + rng.nextInt(3)))
+      val repo = scala.collection.mutable.ArrayBuffer.from(initial)
+      var active = first
+      var nextId = 100
+      val weights = new DynamicWeights
+      val pool = () => (repo :+ active).toIndexedSeq
+      (0 until 60).forall { _ =>
+        rng.nextInt(8) match {
+          case 0 => norm.update(row())
+          case 1 => pool()(rng.nextInt(pool().length)).stats.add(row())
+          case 2 => pool()(rng.nextInt(pool().length)).scStats.add(row())
+          case 3 =>
+            val dims = (0 until dim).filter(_ => rng.nextBoolean())
+            pool()(rng.nextInt(pool().length)).stats.decayDims(dims, 0.3)
+          case 4 =>
+            val c = new ConceptState(nextId, dim, new HoeffdingTree(2, 2))
+            nextId += 1
+            (0 until rng.nextInt(4)).foreach(_ => c.stats.add(row()))
+            repo.insert(rng.nextInt(repo.length + 1), c)
+          case 5 => if (repo.nonEmpty) repo.remove(rng.nextInt(repo.length))
+          case 6 => if (repo.nonEmpty) active = repo(rng.nextInt(repo.length))
+          case _ =>
+            active = new ConceptState(nextId, dim, new HoeffdingTree(2, 2))
+            nextId += 1
+            (0 until rng.nextInt(4)).foreach(_ => active.stats.add(row()))
+        }
+        // Checks skip some steps, so caches also see several changes at once.
+        val scaledOk = rng.nextBoolean() || pool().forall { c =>
+          bits(c.stats.scaledMean(norm)) == bits(norm.scale(Array.tabulate(dim)(c.stats.mean)))
+        }
+        scaledOk && (rng.nextBoolean() ||
+          bits(weights.compute(active, repo, norm)) == bits(WeightsOracle.compute(active, repo.toIndexedSeq, norm)))
+      }
+    }
+    val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300), prop)
     assert(result.passed, result.status.toString)
   }
 }

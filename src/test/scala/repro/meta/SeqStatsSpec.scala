@@ -5,7 +5,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
 class SeqStatsSpec extends AnyFunSuite {
-  import SeqStats._
+  import SeqStats.describe
   import MetaFunctions._
 
   private def mean(xs: Array[Double]) = describe(xs)(Mean.slot)
@@ -16,6 +16,8 @@ class SeqStatsSpec extends AnyFunSuite {
   private def pacf(xs: Array[Double], lag: Int) = describe(xs)(if (lag == 1) Pacf1.slot else Pacf2.slot)
   private def mi(xs: Array[Double]) = describe(xs)(MutualInfo.slot)
   private def turningPointRate(xs: Array[Double]) = describe(xs)(TurningPoint.slot)
+  private def histogramEntropy(xs: Array[Double]) =
+    SeqStats.histogramEntropy(xs, 0, xs.length, new SeqStats.Workspace)
 
   private def gaussian(n: Int, seed: Long): Array[Double] = {
     val rng = new Random(seed)
@@ -106,10 +108,16 @@ class EmdSpec extends AnyFunSuite {
     SeqStats.describe(xs)(if (k == 1) MetaFunctions.ImfEntropy1.slot else MetaFunctions.ImfEntropy2.slot)
   private def turningPointRate(xs: Array[Double]) = MetaFunctions.TurningPoint(xs)
 
+  /** IMF1 of `xs` on a fresh workspace, and the residual it leaves. */
+  private def sift(xs: Array[Double]): (Array[Double], Array[Double]) = {
+    val imf = Emd.siftImf(xs, 0, xs.length, new SeqStats.Workspace).take(xs.length)
+    (imf, xs.indices.map(i => xs(i) - imf(i)).toArray)
+  }
+
   test("IMF extraction of a fast sine over a slow trend keeps the oscillation") {
     val n = 256
     val signal = Array.tabulate(n)(i => math.sin(2 * math.Pi * i / 8.0) + 0.01 * i)
-    val (imf, residual) = Emd.siftImf(signal)
+    val (imf, residual) = sift(signal)
     // The IMF retains the oscillatory energy; the residual is smoother.
     val imfTurn = turningPointRate(imf)
     val resTurn = turningPointRate(residual)
@@ -119,13 +127,13 @@ class EmdSpec extends AnyFunSuite {
   test("imf + residual reconstruct the signal") {
     val rng = new Random(1)
     val signal = Array.fill(128)(rng.nextDouble())
-    val (imf, residual) = Emd.siftImf(signal)
+    val (imf, residual) = sift(signal)
     signal.indices.foreach(i => assert(math.abs(imf(i) + residual(i) - signal(i)) < 1e-9))
   }
 
   test("monotone signal has a ~zero IMF") {
     val signal = Array.tabulate(64)(_.toDouble)
-    val (imf, _) = Emd.siftImf(signal)
+    val (imf, _) = sift(signal)
     assert(imf.forall(v => math.abs(v) < 1e-9))
   }
 
@@ -171,7 +179,7 @@ class EmdSpec extends AnyFunSuite {
   test("property: sifting equals the verbatim oracle bit for bit") {
     def bits(a: Array[Double]): Seq[Long] = a.toSeq.map(java.lang.Double.doubleToLongBits)
     val prop = Prop.forAll(signals) { xs =>
-      val (imf, res) = Emd.siftImf(xs)
+      val (imf, res) = sift(xs)
       val (wantImf, wantRes) = PerFunctionOracle.siftImf(xs, 4)
       bits(imf) == bits(wantImf) && bits(res) == bits(wantRes)
     }
@@ -253,6 +261,28 @@ class SeqStatsKernelSpec extends AnyFunSuite {
       }
     }
     val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(2000), prop)
+    assert(result.passed, result.status.toString)
+  }
+
+  test("property: describe on one reused workspace equals a fresh call on every window") {
+    // Windows of 0 to 200 values, at random offsets in a longer array, in
+    // random order: each call must ignore what earlier, longer or shorter
+    // windows left in the workspace.
+    val windows = Gen.listOfN(12, for {
+      n <- Gen.choose(0, 200)
+      pad <- Gen.choose(0, 5)
+      v <- Gen.oneOf(finite, cauchy, Gen.frequency(9 -> finite, 1 -> special), Gen.oneOf(0.0, 1.0))
+      xs <- ofLength(Gen.const(n + 2 * pad), v)
+      mask <- Gen.choose(1, SeqStats.AllSlots)
+    } yield (xs, pad, n, mask))
+    val prop = Prop.forAll(windows) { ws =>
+      val reused = new SeqStats.Workspace
+      ws.forall { case (xs, pad, n, mask) =>
+        val got = SeqStats.describe(xs, pad, n, mask, reused).clone()
+        got.map(bits).toSeq == SeqStats.describe(xs.slice(pad, pad + n), mask).map(bits).toSeq
+      }
+    }
+    val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300), prop)
     assert(result.passed, result.status.toString)
   }
 }
