@@ -67,15 +67,18 @@ final class HoeffdingTree(
       else rng.shuffle((0 until numFeatures).toVector).take(cfg.featureSubsetSize).toArray
 
     // The likelihood terms log(max(pdf, 1e-12)) of the last nbProba call,
-    // class-major, a copy of the row they were computed for, and which
-    // classes they cover. They stay valid while the observers do: train
-    // clears them before it changes any. Not serialized.
+    // class-major, a copy of the row they were computed for, and whether
+    // they are valid. They stay valid while the observers do: train clears
+    // them before it changes any. A class with no count gets no terms, and
+    // none are read for it until train clears them: train counts a row
+    // before it adds the row to its class's observers, counts never fall,
+    // so such a class has no observer with weight. Not serialized.
     @transient private var terms: Array[Double] = null
     @transient private var termsRow: Array[Double] = null
-    @transient private var termsCover: Array[Boolean] = null
+    @transient private var termsValid = false
 
     /** Forget the cached likelihood terms (the observers are about to change). */
-    def clearTerms(): Unit = if (termsCover != null) java.util.Arrays.fill(termsCover, false)
+    def clearTerms(): Unit = termsValid = false
 
     /** Naive-Bayes class probabilities. Callers pass a leaf with positive
       * weight, so some class has a finite log-probability. The likelihood
@@ -86,19 +89,18 @@ final class HoeffdingTree(
       if (termsRow == null) {
         terms = new Array[Double](numClasses * numFeatures)
         termsRow = new Array[Double](numFeatures)
-        termsCover = new Array[Boolean](numClasses)
       }
       if (!sameBits(termsRow, x)) {
         System.arraycopy(x, 0, termsRow, 0, numFeatures)
         clearTerms()
       }
+      val fresh = !termsValid
       val tot = totalWeight
       val logp = new Array[Double](numClasses)
       var c = 0
       while (c < numClasses) {
         if (classCounts(c) <= 0) logp(c) = Double.NegativeInfinity
         else {
-          val fresh = !termsCover(c)
           val base = c * numFeatures
           var lp = math.log(classCounts(c) / tot)
           var f = 0
@@ -110,11 +112,11 @@ final class HoeffdingTree(
             }
             f += 1
           }
-          termsCover(c) = true
           logp(c) = lp
         }
         c += 1
       }
+      termsValid = true
       // Softmax in place: the maximum under logp.max's total ordering, then
       // exp, then a left-to-right sum from element 0, then the division.
       var mx = logp(0)
@@ -208,7 +210,9 @@ final class HoeffdingTree(
 
   // ------------------------------------------------------------------ train
 
-  /** Incorporate one labelled observation with the given weight. */
+  /** Incorporate one labelled observation with the given weight, which
+    * must be ≥ 0 (the term cache relies on class counts never falling).
+    */
   def train(x: Array[Double], y: Int, weight: Double = 1.0): Unit = {
     // The split the leaf hangs from (null at the root), where a split of
     // the leaf is linked in.

@@ -18,13 +18,12 @@ final class RunningVec(val dim: Int) extends Serializable {
   /** σ of every dim at version `sigmasAt` (null: none cached). */
   @transient private var sigmas: Array[Double] = _
   @transient private var sigmasAt = 0
-  /** The means scaled by `scaledBy` at this vector's version `scaledAt`
-    * and the normalizer's version `scaledByAt` (null: none cached).
+  /** The means scaled at this vector's version `scaledAt` and the
+    * normalizer's version `normAt` (null: none cached).
     */
   @transient private var scaledMeans: Array[Double] = _
-  @transient private var scaledBy: Normalizer = _
   @transient private var scaledAt = 0
-  @transient private var scaledByAt = 0
+  @transient private var normAt = 0
 
   def add(v: Array[Double]): Unit = {
     require(v.length == dim, s"dim mismatch: ${v.length} vs $dim")
@@ -59,23 +58,24 @@ final class RunningVec(val dim: Int) extends Serializable {
 
   /** The means scaled by `norm` (what `norm.scale` gives them), cached: a
     * change of version recomputes every dim, a change of `norm`'s ranges
-    * only the dims in its span-change set. The caller must not write to it.
+    * only the dims in its span-change set. Every call must pass the same
+    * normalizer (an engine passes its own), and the caller must not write
+    * to the result.
     */
   private[core] def scaledMean(norm: Normalizer): Array[Double] = {
-    if (scaledMeans == null || !(scaledBy eq norm) || scaledAt != ver) {
+    if (scaledMeans == null || scaledAt != ver) {
       if (scaledMeans == null) scaledMeans = new Array[Double](dim)
       var i = 0
       while (i < dim) { scaledMeans(i) = norm.scaled(i, means(i)); i += 1 }
-    } else if (scaledByAt != norm.version) {
+    } else if (normAt != norm.version) {
       var i = 0
       while (i < dim) {
-        if (norm.changedSince(scaledByAt, i)) scaledMeans(i) = norm.scaled(i, means(i))
+        if (norm.changedSince(normAt, i)) scaledMeans(i) = norm.scaled(i, means(i))
         i += 1
       }
     }
-    scaledBy = norm
     scaledAt = ver
-    scaledByAt = norm.version
+    normAt = norm.version
     scaledMeans
   }
 

@@ -51,7 +51,7 @@ final class FiCSUM(
   // Scratch and caches of this engine alone (the grid steps engines as
   // parallel tasks in one JVM); transient, so state bytes are unchanged.
   @transient private lazy val ws = new Fingerprinter.Workspace(spec)
-  @transient private lazy val dynamicWeights = new DynamicWeights
+  @transient private lazy val dynamicWeights = new DynamicWeights(normalizer)
 
   private var nextId = 0
   private val repo   = mutable.ArrayBuffer.empty[ConceptState]
@@ -129,7 +129,7 @@ final class FiCSUM(
       // Per-candidate weights (w_σ is the *candidate's* per-dim scale) and
       // a self-similarity band recomputed from retained sample
       // fingerprints under the current normalizer/weights (§IV).
-      val weights = dynamicWeights.compute(s, repo, normalizer)
+      val weights = dynamicWeights.compute(s, repo)
       val sims = fps.map(fp => simTo(s, fp, weights))
       val selfSims = s.sampleFps.toSeq.map(fp => simTo(s, fp, weights))
       (s, Metrics.mean(sims), Metrics.mean(selfSims), Metrics.stdDev(selfSims))
@@ -188,7 +188,7 @@ final class FiCSUM(
       // Plasticity (§IV): a split is suspicious while the similarity sits
       // below the concept's normal band; every handled split holds breaches.
       if (active.onSplit(spec.classifierDependentDims, detector.suspicious(active.simStats))) detector.holdBreaches()
-      val weights = dynamicWeights.compute(active, repo, normalizer)
+      val weights = dynamicWeights.compute(active, repo)
       lastWeights = weights
 
       // Bounded incorporation, then the normal-similarity record

@@ -187,14 +187,10 @@ object Fingerprinter {
       spec: FingerprintSpec,
       window: IndexedSeq[Labeled],
       classifier: Option[HoeffdingTree],
-  ): Array[Double] =
-    make(spec, window, classifier.fold(IndexedSeq.empty[Array[Double]])(contributions(spec, window, _)))
-
-  /** Raw fingerprint of `window` with `contribs(i)` as row i's path
-    * attributions (empty: no classifier, zero Shapley dims).
-    */
-  def make(spec: FingerprintSpec, window: IndexedSeq[Labeled], contribs: IndexedSeq[Array[Double]]): Array[Double] =
+  ): Array[Double] = {
+    val contribs = classifier.fold(IndexedSeq.empty[Array[Double]])(contributions(spec, window, _))
     make(spec, new Workspace(spec).load(window), 0, window.length, contribs, null)
+  }
 
   /** Raw fingerprint of the rows `from until from + w` loaded in `ws`.
     * `contribs(i)` are loaded row i's path attributions (empty: none).

@@ -137,22 +137,24 @@ object Similarity {
   * when the concepts with σ (in `stats` or in `scStats`) or any of their
   * versions changed, and both on the dims in the normalizer's span-change
   * set. The final RMS pass covers every dim in order, so a call returns
-  * the bits a fresh instance would. An engine owns one instance.
+  * the bits a fresh instance would. An engine owns one instance, built on
+  * its own normalizer.
   */
-final class DynamicWeights {
+final class DynamicWeights(norm: Normalizer) {
   import DynamicWeights.SigmaFloor
 
   // The inputs of the last call and the per-dim terms computed from them.
-  private var norm: Normalizer = _
   private var normSeen = 0
   private var active: ConceptState = _
   private var activeSeen = 0
   private var withStats = Array.empty[ConceptState]
   private var withSc = Array.empty[ConceptState]
-  /** `stats` versions of `withStats`, then `scStats` and `stats` versions of `withSc`. */
-  private var seen = Array.emptyIntArray
-  private var wSigma = Array.emptyDoubleArray
-  private var wD = Array.emptyDoubleArray
+  /** `stats` versions of `withStats`, then `scStats` and `stats` versions
+    * of `withSc` (null before the first call, which computes every dim).
+    */
+  private var seen: Array[Int] = _
+  private val wSigma = new Array[Double](norm.dim)
+  private val wD = new Array[Double](norm.dim)
 
   /** w_d of dim i over the concepts with σ in `stats` (`withStats`) and in
     * `scStats` (`withSc`); `mus` is scratch of `withStats.length`.
@@ -204,22 +206,16 @@ final class DynamicWeights {
     * concept, which on these finite terms (σs non-negative) gives the same
     * weights as collection `sum` and `max`.
     */
-  def compute(
-      active: ConceptState,
-      repo: collection.IndexedSeq[ConceptState],
-      norm: Normalizer,
-  ): Array[Double] = {
+  def compute(active: ConceptState, repo: collection.IndexedSeq[ConceptState]): Array[Double] = {
     val dim = active.dim
     val withStats = repo.iterator.filter(_.stats.sigmaDefined).toArray
     // Only `add` touches scStats, which counts every dim at once, so the
     // per-dim count test is the same for all dims.
     val withSc = repo.iterator.filter(_.scStats.sigmaDefined).toArray
     val vers = withStats.map(_.stats.version) ++ withSc.flatMap(s => Array(s.scStats.version, s.stats.version))
-    val fresh = !(norm eq this.norm) || wD.length != dim
-    val allD = fresh || !withStats.sameElements(this.withStats) || !withSc.sameElements(this.withSc) ||
+    val allD = !withStats.sameElements(this.withStats) || !withSc.sameElements(this.withSc) ||
       !java.util.Arrays.equals(vers, seen)
-    val allSigma = fresh || !(active eq this.active) || active.stats.version != activeSeen
-    if (fresh) { wSigma = new Array[Double](dim); wD = new Array[Double](dim) }
+    val allSigma = !(active eq this.active) || active.stats.version != activeSeen
     val mus = new Array[Double](withStats.length)
     var i = 0
     while (i < dim) {
@@ -230,7 +226,6 @@ final class DynamicWeights {
       if (allD || spanChanged) wD(i) = discrimination(i, span, withStats, withSc, mus)
       i += 1
     }
-    this.norm = norm
     normSeen = norm.version
     this.active = active
     activeSeen = active.stats.version
@@ -263,5 +258,5 @@ object DynamicWeights {
       active: ConceptState,
       repo: collection.IndexedSeq[ConceptState],
       norm: Normalizer,
-  ): Array[Double] = new DynamicWeights().compute(active, repo, norm)
+  ): Array[Double] = new DynamicWeights(norm).compute(active, repo)
 }

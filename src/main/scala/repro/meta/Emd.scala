@@ -72,7 +72,7 @@ object Emd {
     * buffers.
     */
   def siftImf(xs: Array[Double], from: Int, n: Int, ws: SeqStats.Workspace): Array[Double] = {
-    ws.ensureSift(n)
+    ws.ensure(n)
     var h = ws.h
     var next = ws.next
     val maxIdx = ws.maxIdx

@@ -16,35 +16,28 @@ object SeqStats {
   /** Equal-width histogram bins of the MI and IMF-entropy estimates. */
   private val Bins = 8
 
-  /** The kernel's scratch arrays, grown to the longest input so far and
-    * allocated only for the slot groups a caller selects. [[describe]]
+  /** The kernel's scratch arrays: the histogram arrays, and the
+    * length-sized ones grown to the longest input so far. [[describe]]
     * writes its 12 values into `out`. A workspace serves one caller at a
     * time: each engine owns one, and nothing shares one between threads.
     */
   final class Workspace {
     private[meta] val out = new Array[Double](12)
+    private[meta] val joint = new Array[Double](Bins * Bins)
+    private[meta] val px = new Array[Double](Bins)
+    private[meta] val py = new Array[Double](Bins)
+    private[meta] val hist = new Array[Double](Bins)
     private[meta] var dev: Array[Double] = Array.emptyDoubleArray
-    private[meta] var joint: Array[Double] = Array.emptyDoubleArray
-    private[meta] var px: Array[Double] = Array.emptyDoubleArray
-    private[meta] var py: Array[Double] = Array.emptyDoubleArray
-    private[meta] var hist: Array[Double] = Array.emptyDoubleArray
     private[meta] var h: Array[Double] = Array.emptyDoubleArray
     private[meta] var next: Array[Double] = Array.emptyDoubleArray
     private[meta] var residual: Array[Double] = Array.emptyDoubleArray
     private[meta] var maxIdx: Array[Int] = Array.emptyIntArray
     private[meta] var minIdx: Array[Int] = Array.emptyIntArray
 
-    private[meta] def ensureCentred(n: Int): Unit =
-      if (dev.length < n) dev = new Array[Double](n)
-
-    private[meta] def ensureBins(): Unit =
-      if (hist.length == 0) {
-        joint = new Array[Double](Bins * Bins)
-        px = new Array[Double](Bins); py = new Array[Double](Bins); hist = new Array[Double](Bins)
-      }
-
-    private[meta] def ensureSift(n: Int): Unit =
-      if (h.length < n) {
+    /** Grows the length-sized arrays to hold an input of n values. */
+    private[meta] def ensure(n: Int): Unit =
+      if (dev.length < n) {
+        dev = new Array[Double](n)
         h = new Array[Double](n); next = new Array[Double](n)
         residual = new Array[Double](n)
         maxIdx = new Array[Int](n + 2); minIdx = new Array[Int](n + 2)
@@ -77,7 +70,7 @@ object SeqStats {
     out(0) = mu
 
     if ((slots & CentredSlots) != 0 && n >= 2) {
-      ws.ensureCentred(n)
+      ws.ensure(n)
       val dev = ws.dev
       var ss = 0.0
       i = 0
@@ -164,7 +157,6 @@ object SeqStats {
   private[meta] def lagMutualInformation(xs: Array[Double], from: Int, len: Int, ws: Workspace): Double = {
     val n = len - 1
     if (n < 4) return 0.0
-    ws.ensureBins()
     val joint = ws.joint
     if (!binCounts(xs, from, len, 1, joint)) return 0.0
     val px = ws.px; val py = ws.py
@@ -184,7 +176,6 @@ object SeqStats {
   /** Shannon entropy (nats) of an equal-width histogram of `xs(from until from + n)`. */
   private[meta] def histogramEntropy(xs: Array[Double], from: Int, n: Int, ws: Workspace): Double = {
     if (n < 2) return 0.0
-    ws.ensureBins()
     val counts = ws.hist
     if (!binCounts(xs, from, n, 0, counts)) return 0.0
     var h = 0.0

@@ -160,6 +160,8 @@ class HoeffdingTreeSpec extends AnyFunSuite {
     // predict and train, and `reusing` sometimes makes a Java round trip
     // there, which empties its terms. Some rows repeat earlier ones, and
     // some are evaluated again after training, as FiCSUM's buffer is.
+    // `unseenRows` counts the rows whose class had no count in the leaf
+    // when predict computed the terms that train then reuses.
     val cases = for {
       k <- Gen.oneOf(2, 3)
       d <- Gen.choose(1, 4)
@@ -168,6 +170,7 @@ class HoeffdingTreeSpec extends AnyFunSuite {
       seed <- Gen.choose(0L, Long.MaxValue)
     } yield (k, d, subset, n, seed)
     var nbRows = 0
+    var unseenRows = 0
     var splitTrees = 0
     val prop = Prop.forAll(cases) { case (k, d, subset, n, seed) =>
       val rng = new Random(seed)
@@ -183,6 +186,8 @@ class HoeffdingTreeSpec extends AnyFunSuite {
         val y = if (rng.nextDouble() < 0.1) rng.nextInt(k) else (clean + (if (i < n / 2) 0 else 1)) % k
         val w = (1 + rng.nextInt(6)).toDouble
         if (NbOracle.usesNb(NbOracle.leaf(fresh, x))) nbRows += 1
+        val leaf = NbOracle.leaf(reusing, x)
+        val unseen = NbOracle.usesNb(leaf) && leaf.classCounts(y) <= 0
         val want = bits(NbOracle.predictProba(fresh, x))
         var ok = bits(reusing.predictProba(x)) == want
         rng.nextInt(20) match {
@@ -192,7 +197,7 @@ class HoeffdingTreeSpec extends AnyFunSuite {
             val z = draw()
             val (cr, cf) = (new Array[Double](d), new Array[Double](d))
             ok &&= reusing.explain(z, cr) == fresh.explain(z, cf) && bits(cr) == bits(cf)
-          case _ =>
+          case _ => if (unseen) unseenRows += 1
         }
         reusing.train(x, y, w)
         fresh.train(x, y, w)
@@ -208,6 +213,51 @@ class HoeffdingTreeSpec extends AnyFunSuite {
     val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(200), prop)
     assert(result.passed, result.status.toString)
     assert(nbRows >= 10000 && splitTrees >= 50, s"naive-Bayes rows $nbRows, trees that split $splitTrees")
+    assert(unseenRows >= 100, s"rows of a class with no count at predict $unseenRows")
+  }
+
+  test("property: in every leaf a class with no count has only zero-weight observers") {
+    import org.scalacheck.{Gen, Prop, Test => SCTest}
+    // The invariant the leaf's one-flag term cache relies on. Weights are
+    // ≥ 0, zero included; a rare class appears only late and only at high
+    // x0, so many leaves, split-seeded children among them, lack it.
+    val cases = for {
+      k <- Gen.choose(2, 4)
+      d <- Gen.choose(1, 4)
+      n <- Gen.choose(50, 600)
+      seed <- Gen.choose(0L, Long.MaxValue)
+    } yield (k, d, n, seed)
+    var emptyClasses = 0
+    var splitTrees = 0
+    val prop = Prop.forAll(cases) { case (k, d, n, seed) =>
+      val rng = new Random(seed)
+      val t = new HoeffdingTree(d, k, HoeffdingTreeConfig(gracePeriod = 20))
+      def leaves(n: t.Node): Seq[t.Leaf] = n match {
+        case s: t.Split => leaves(s.left) ++ leaves(s.right)
+        case l: t.Leaf  => Seq(l)
+      }
+      val ok = (0 until n).forall { i =>
+        val x = Array.fill(d)(rng.nextDouble())
+        val y = if (i > n / 2 && x(0) > 0.8) k - 1 else math.min(k - 2, (x(0) * (k - 1)).toInt)
+        val w = rng.nextInt(4) match {
+          case 0 => 0.0
+          case 1 => 3 * rng.nextDouble()
+          case _ => (1 + rng.nextInt(6)).toDouble
+        }
+        t.train(x, y, w)
+        leaves(t.root).forall { l =>
+          (0 until k).forall { c =>
+            l.classCounts(c) > 0 || { emptyClasses += 1; (0 until d).forall(f => l.observers(f)(c).weight == 0.0) }
+          }
+        }
+      }
+      if (t.splitEvents > 0) splitTrees += 1
+      ok
+    }
+    val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(result.passed, result.status.toString)
+    assert(emptyClasses >= 10000 && splitTrees >= 100,
+      s"classes with no count $emptyClasses, trees that split $splitTrees")
   }
 
   test("property: without a feature subspace the seed changes no prediction, attribution or split") {
@@ -400,13 +450,14 @@ class ExplainSpec extends AnyFunSuite {
     val (flat, flatRows) = byName("unsplit")
     val spec = FingerprintSpec.full(flat.numFeatures)
     val window = flatRows.zipWithIndex.map { case (x, i) => Labeled(x, i % 3, flat.predict(x)) }
-    val zeros = window.map(_ => new Array[Double](flat.numFeatures))
+    val zeros = new Array[Double](flat.numFeatures)
     // A root leaf's path attributions are +0.0 for every feature.
-    assert(window.forall(o => bits(ContributionOracle.featureContributions(flat, o.x)) == bits(zeros.head)))
+    assert(window.forall(o => bits(ContributionOracle.featureContributions(flat, o.x)) == bits(zeros)))
     assert(Fingerprinter.contributions(spec, window, flat).isEmpty)
-    val want = bits(Fingerprinter.make(spec, window, zeros))
-    assert(bits(Fingerprinter.make(spec, window, IndexedSeq.empty)) == want)
-    assert(bits(Fingerprinter.make(spec, window, Some(flat))) == want)
+    val fp = Fingerprinter.make(spec, window, Some(flat))
+    assert(bits(fp) == bits(Fingerprinter.make(spec, window, None)))
+    // Summed +0.0 attributions over the window: the Shapley dims are +0.0.
+    assert(bits(fp.takeRight(flat.numFeatures)) == bits(zeros))
     // A split tree still attributes every row.
     val (aq, aqRows) = byName("AQSex")
     val aqWindow = aqRows.take(50).map(x => Labeled(x, 0, aq.predict(x)))

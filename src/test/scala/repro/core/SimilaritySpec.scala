@@ -241,7 +241,7 @@ class DynamicWeightsOracleSpec extends AnyFunSuite {
       val repo = scala.collection.mutable.ArrayBuffer.from(initial)
       var active = first
       var nextId = 100
-      val weights = new DynamicWeights
+      val weights = new DynamicWeights(norm)
       val pool = () => (repo :+ active).toIndexedSeq
       (0 until 60).forall { _ =>
         rng.nextInt(8) match {
@@ -268,7 +268,7 @@ class DynamicWeightsOracleSpec extends AnyFunSuite {
           bits(c.stats.scaledMean(norm)) == bits(norm.scale(Array.tabulate(dim)(c.stats.mean)))
         }
         scaledOk && (rng.nextBoolean() ||
-          bits(weights.compute(active, repo, norm)) == bits(WeightsOracle.compute(active, repo.toIndexedSeq, norm)))
+          bits(weights.compute(active, repo)) == bits(WeightsOracle.compute(active, repo.toIndexedSeq, norm)))
       }
     }
     val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300), prop)
