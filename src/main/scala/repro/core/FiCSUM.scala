@@ -92,6 +92,9 @@ final class FiCSUM(
     * same leaf evaluation. A window's classifier-free kernel outputs are
     * computed for the first concept and copied for the others; every caller
     * passes at least one. Raw: reads neither the normalizer nor the weights.
+    * The relabelling and attribution run on the calling thread (a leaf's
+    * naive-Bayes evaluation writes its cache); only the kernel calls of
+    * `Fingerprinter.make` may run on the common pool.
     */
   private[core] def foreignFingerprints(rows: collection.IndexedSeq[Labeled], starts: Seq[Int],
       concepts: collection.Seq[ConceptState]): collection.Seq[Seq[Array[Double]]] = {
@@ -105,9 +108,7 @@ final class FiCSUM(
         ws.l(k) = if (attributes) s.classifier.explain(rows(k).x, contribs(k)) else s.classifier.predict(rows(k).x)
         k += 1
       }
-      val fps = starts.indices.map { j =>
-        Fingerprinter.make(spec, ws, starts(j), w, contribs, if (first == null) null else first(j))
-      }
+      val fps = Fingerprinter.make(spec, ws, starts, w, contribs, first)
       if (first == null) first = fps
       fps
     }
@@ -178,11 +179,12 @@ final class FiCSUM(
     if (full && i % FingerprintGap == 0) {
       fingerprints += 1
       // Each buffer row is loaded and attributed once; A is the tail
-      // window, B the head.
+      // window, B the head, built in one call so their kernel calls can
+      // share the idle cores.
       val contribs = Fingerprinter.contributions(spec, buf, active.classifier)
-      ws.load(buf)
-      val fA = Fingerprinter.make(spec, ws, b, w, contribs, null)
-      val fB = Fingerprinter.make(spec, ws, 0, w, contribs, null)
+      val fps = Fingerprinter.make(spec, ws.load(buf), Seq(b, 0), w, contribs, null)
+      val fA = fps(0)
+      val fB = fps(1)
       normalizer.update(fA)
       normalizer.update(fB)
       // Plasticity (§IV): a split is suspicious while the similarity sits

@@ -1,5 +1,8 @@
 package repro.core
 
+import java.util.concurrent.{ForkJoinPool, RecursiveAction}
+import java.util.concurrent.atomic.AtomicBoolean
+import org.apache.spark.TaskContext
 import repro.classifier.HoeffdingTree
 import repro.meta.{MetaFunction, SeqStats}
 
@@ -103,26 +106,46 @@ object FingerprintSpec {
 /** Builds raw fingerprint vectors from windows (paper Fig. 2). */
 object Fingerprinter {
 
+  /** Fewest computed sources a chunk of one call gets when the call fans
+    * out: with the MI and IMF slots a source costs ~7 µs per window, so a
+    * chunk of 8 sources over two windows outweighs waking a pool worker.
+    */
+  private[core] val MinChunkSources = 8
+
   /** What one engine fingerprints from: a block of rows as columns (the
     * features the spec's sources read, y and l, each row i at index i) and
     * the kernel's scratch. The engine loads its buffer once per fingerprint
-    * step and reads every window of it from here. It serves one caller at
-    * a time: each engine owns one, and nothing shares one between threads.
+    * step and reads every window of it from here. Only the engine's thread
+    * loads and relabels the columns; the kernel calls of one call only read
+    * them, and each chunk of the call has its own [[Scratch]], so one
+    * workspace serves one call at a time with one scratch per chunk. The
+    * engine holds it `@transient`, so no scratch reaches its state bytes.
     */
   final class Workspace(spec: FingerprintSpec) {
-    private[core] val kernel = new SeqStats.Workspace
     private val features = spec.sources.collect { case FeatureSource(j) => j }.distinct.toArray
     private[core] val x = new Array[Array[Double]](spec.numFeatures)
     private[core] var y: Array[Double] = Array.emptyDoubleArray
     private[core] var l: Array[Double] = Array.emptyDoubleArray
-    /** The error and error-distance sources of one window. */
-    private[core] var seq: Array[Double] = Array.emptyDoubleArray
+    private val allSources = spec.sources.indices.toArray
+    private val dependentSources = allSources.filterNot(spec.sources(_).classifierFree)
+    private var scratch: Array[Scratch] = Array(new Scratch)
+
+    /** Indices of the sources a call computes: every source, or only the
+      * classifier-dependent ones when the classifier-free dims are shared.
+      */
+    private[core] def computed(shared: Boolean): Array[Int] = if (shared) dependentSources else allSources
+
+    /** One scratch per chunk of a k-chunk call; chunk 0's is the serial loop's. */
+    private[core] def scratch(k: Int): Array[Scratch] = {
+      if (scratch.length < k) scratch = Array.tabulate(k)(c => if (c < scratch.length) scratch(c) else new Scratch)
+      scratch
+    }
 
     /** Copies `rows` into the columns. */
     def load(rows: collection.IndexedSeq[Labeled]): this.type = {
       val n = rows.length
       if (y.length < n) {
-        y = new Array[Double](n); l = new Array[Double](n); seq = new Array[Double](n)
+        y = new Array[Double](n); l = new Array[Double](n)
         features.foreach(j => x(j) = new Array[Double](n))
       }
       var i = 0
@@ -138,22 +161,33 @@ object Fingerprinter {
     }
   }
 
+  /** The scratch of one chunk's kernel calls: the kernel's workspace and
+    * the error and error-distance sources of one window.
+    */
+  private[core] final class Scratch {
+    val kernel = new SeqStats.Workspace
+    private var buf: Array[Double] = Array.emptyDoubleArray
+    def seq(w: Int): Array[Double] = { if (buf.length < w) buf = new Array[Double](w); buf }
+  }
+
   /** Kernel outputs of source `s` over rows `from until from + w` of `ws`. */
-  private def describe(s: Source, ws: Workspace, from: Int, w: Int, slots: Int): Array[Double] = s match {
-    case FeatureSource(j) => SeqStats.describe(ws.x(j), from, w, slots, ws.kernel)
-    case LabelSource      => SeqStats.describe(ws.y, from, w, slots, ws.kernel)
-    case PredSource       => SeqStats.describe(ws.l, from, w, slots, ws.kernel)
+  private def describe(s: Source, ws: Workspace, sc: Scratch, from: Int, w: Int, slots: Int): Array[Double] = s match {
+    case FeatureSource(j) => SeqStats.describe(ws.x(j), from, w, slots, sc.kernel)
+    case LabelSource      => SeqStats.describe(ws.y, from, w, slots, sc.kernel)
+    case PredSource       => SeqStats.describe(ws.l, from, w, slots, sc.kernel)
     case ErrorSource =>
+      val seq = sc.seq(w)
       var i = 0
-      while (i < w) { ws.seq(i) = if (ws.y(from + i) != ws.l(from + i)) 1.0 else 0.0; i += 1 }
-      SeqStats.describe(ws.seq, 0, w, slots, ws.kernel)
+      while (i < w) { seq(i) = if (ws.y(from + i) != ws.l(from + i)) 1.0 else 0.0; i += 1 }
+      SeqStats.describe(seq, 0, w, slots, sc.kernel)
     case ErrorDistSource =>
+      val seq = sc.seq(w)
       var errors = 0
       var last = 0
       var i = 0
       while (i < w) {
         if (ws.y(from + i) != ws.l(from + i)) {
-          if (errors > 0) ws.seq(errors - 1) = (i - last).toDouble
+          if (errors > 0) seq(errors - 1) = (i - last).toDouble
           errors += 1
           last = i
         }
@@ -162,8 +196,8 @@ object Fingerprinter {
       // Higher-order stats of a handful of gaps are pure noise; below 5 gaps
       // represent the source as the constant "max distance" sequence so its
       // dims sit still instead of spiking randomly in stationary phases.
-      if (errors < 6) { ws.seq(0) = w.toDouble; SeqStats.describe(ws.seq, 0, 1, slots, ws.kernel) }
-      else SeqStats.describe(ws.seq, 0, errors - 1, slots, ws.kernel)
+      if (errors < 6) { seq(0) = w.toDouble; SeqStats.describe(seq, 0, 1, slots, sc.kernel) }
+      else SeqStats.describe(seq, 0, errors - 1, slots, sc.kernel)
   }
 
   /** Whether `tree` attributes rows under `spec`: only with Shapley dims, and
@@ -189,54 +223,119 @@ object Fingerprinter {
       classifier: Option[HoeffdingTree],
   ): Array[Double] = {
     val contribs = classifier.fold(IndexedSeq.empty[Array[Double]])(contributions(spec, window, _))
-    make(spec, new Workspace(spec).load(window), 0, window.length, contribs, null)
+    make(spec, new Workspace(spec).load(window), Seq(0), window.length, contribs, null).head
   }
 
-  /** Raw fingerprint of the rows `from until from + w` loaded in `ws`.
-    * `contribs(i)` are loaded row i's path attributions (empty: none).
-    * `shared`, if not null, is a fingerprint of the same rows under another
-    * classifier: the classifier-free sources (input features and labels)
-    * do not depend on which classifier labels the rows, so their dims are
-    * copied from it instead of computed.
+  /** How many chunks a call that computes `computed` sources splits its
+    * kernel calls into: one per common-pool worker plus the caller, with at
+    * least [[MinChunkSources]] sources each. One chunk, the serial loop, when
+    * the spec selects neither the MI nor the IMF slots (the other slots cost
+    * too little per call to pay for a fork), and inside a Spark task: Spark
+    * already runs one task per core (the grid's cells, the streaming
+    * operator's keys), and fanning out there made the 785-cell grid's wall
+    * time 12–28 % longer.
+    */
+  private[core] def chunks(spec: FingerprintSpec, computed: Int): Int =
+    if ((spec.slots & SeqStats.HistogramSlots) == 0 || TaskContext.get() != null) 1
+    else math.min(ForkJoinPool.getCommonPoolParallelism + 1, computed / MinChunkSources)
+
+  /** Raw fingerprints of the w-row windows at `starts` of the rows loaded in
+    * `ws`, one per start. `contribs(i)` are loaded row i's path attributions
+    * (empty: none). `shared`, if not null, holds one fingerprint per start of
+    * the same rows under another classifier: the classifier-free sources
+    * (input features and labels) do not depend on which classifier labels
+    * the rows, so their dims are copied from it instead of computed.
+    *
+    * The kernel calls, one per computed source and window, are pure
+    * functions of the loaded columns; they are split by source into
+    * [[chunks]] contiguous chunks. The calling thread runs the first, forks
+    * the others to the common pool and runs each that no worker has started
+    * yet, so under a busy pool the call is the serial loop. The Shapley dims
+    * are summed on the calling thread.
     */
   def make(
       spec: FingerprintSpec,
       ws: Workspace,
-      from: Int,
+      starts: collection.Seq[Int],
       w: Int,
       contribs: IndexedSeq[Array[Double]],
-      shared: Array[Double],
-  ): Array[Double] = {
+      shared: collection.Seq[Array[Double]],
+  ): IndexedSeq[Array[Double]] =
+    make(spec, ws, starts, w, contribs, shared, chunks(spec, ws.computed(shared != null).length))
+
+  /** [[make]] split into `chunks` chunks (at most one per computed source). */
+  private[core] def make(
+      spec: FingerprintSpec,
+      ws: Workspace,
+      starts: collection.Seq[Int],
+      w: Int,
+      contribs: IndexedSeq[Array[Double]],
+      shared: collection.Seq[Array[Double]],
+      chunks: Int,
+  ): IndexedSeq[Array[Double]] = {
     require(w > 0, "cannot fingerprint an empty window")
-    val out = new Array[Double](spec.dim)
+    val from = starts.toArray
+    val fps = IndexedSeq.fill(from.length)(new Array[Double](spec.dim))
     val nf = spec.functions.length
-    var k = 0
-    for (s <- spec.sources) {
-      if (shared != null && s.classifierFree) System.arraycopy(shared, k, out, k, nf)
-      else {
-        val vals = describe(s, ws, from, w, spec.slots)
-        var f = 0
-        while (f < nf) { out(k + f) = vals(spec.functions(f).slot); f += 1 }
-      }
-      k += nf
-    }
-    if (spec.includeShapley) {
-      val acc = new Array[Double](spec.numFeatures)
-      if (contribs.nonEmpty) {
-        var i = from
-        while (i < from + w) {
-          val c = contribs(i)
-          var j = 0
-          while (j < spec.numFeatures) { acc(j) += c(j); j += 1 }
-          i += 1
+    val sources = ws.computed(shared != null)
+    if (shared != null)
+      for (si <- spec.sources.indices if spec.sources(si).classifierFree; j <- from.indices)
+        System.arraycopy(shared(j), si * nf, fps(j), si * nf, nf)
+
+    // Chunk c computes sources(⌊n·c/k⌋ until ⌊n·(c+1)/k⌋) into their dims
+    // of every window; no two chunks write the same dim.
+    def run(sc: Scratch, c: Int, k: Int): Unit = {
+      var i = (sources.length.toLong * c / k).toInt
+      val end = (sources.length.toLong * (c + 1) / k).toInt
+      while (i < end) {
+        val si = sources(i)
+        var j = 0
+        while (j < from.length) {
+          val vals = describe(spec.sources(si), ws, sc, from(j), w, spec.slots)
+          val out = fps(j)
+          var f = 0
+          while (f < nf) { out(si * nf + f) = vals(spec.functions(f).slot); f += 1 }
+          j += 1
         }
-      }
-      var j = 0
-      while (j < spec.numFeatures) {
-        out(k) = acc(j) / w
-        k += 1; j += 1
+        i += 1
       }
     }
-    out
+    val k = math.min(chunks, sources.length)
+    if (k <= 1) run(ws.scratch(1)(0), 0, 1)
+    else {
+      val sc = ws.scratch(k)
+      val forked = Array.tabulate(k - 1) { c => val t = new ChunkTask(() => run(sc(c + 1), c + 1, k)); t.fork(); t }
+      run(sc(0), 0, k)
+      forked.foreach(t => if (!t.tryRun()) t.join())
+    }
+
+    if (spec.includeShapley) {
+      val k0 = spec.sources.length * nf
+      for (j <- from.indices) {
+        val acc = new Array[Double](spec.numFeatures)
+        if (contribs.nonEmpty) {
+          var i = from(j)
+          while (i < from(j) + w) {
+            val c = contribs(i)
+            var f = 0
+            while (f < spec.numFeatures) { acc(f) += c(f); f += 1 }
+            i += 1
+          }
+        }
+        var f = 0
+        while (f < spec.numFeatures) { fps(j)(k0 + f) = acc(f) / w; f += 1 }
+      }
+    }
+    fps
+  }
+
+  /** One chunk of a call, run by whichever of the caller and a pool worker
+    * claims it first; the other finds it claimed and does nothing.
+    */
+  private final class ChunkTask(body: () => Unit) extends RecursiveAction {
+    private val claimed = new AtomicBoolean
+    /** Runs the chunk unless it is claimed; whether this call ran it. */
+    def tryRun(): Boolean = claimed.compareAndSet(false, true) && { body(); true }
+    protected def compute(): Unit = { tryRun(); () }
   }
 }

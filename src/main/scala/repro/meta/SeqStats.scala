@@ -13,13 +13,18 @@ object SeqStats {
   private val MiSlot = 1 << 8
   private val Imf1Slot = 1 << 10
   private val Imf2Slot = 1 << 11
+  /** The MI and IMF-entropy slots: their histograms and EMD sifting take
+    * most of a full call's time (~7 µs on a 50-value window).
+    */
+  val HistogramSlots: Int = MiSlot | Imf1Slot | Imf2Slot
   /** Equal-width histogram bins of the MI and IMF-entropy estimates. */
   private val Bins = 8
 
   /** The kernel's scratch arrays: the histogram arrays, and the
     * length-sized ones grown to the longest input so far. [[describe]]
     * writes its 12 values into `out`. A workspace serves one caller at a
-    * time: each engine owns one, and nothing shares one between threads.
+    * time: each chunk of a fingerprint call has its own, so the chunks of
+    * one call may run on several threads, one workspace each.
     */
   final class Workspace {
     private[meta] val out = new Array[Double](12)

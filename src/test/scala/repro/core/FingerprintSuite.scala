@@ -54,8 +54,9 @@ class FingerprintSpecSuite extends AnyFunSuite {
   test("paper Fig.2 example: mean-only fingerprint of the 3-obs window") {
     // Paper: sources x0=[1,0.5,0.75], x1=[5,7,6], y=[1,1,0], l=[1,0,1],
     // err=[0,1,1]; with the 'mean' function: [0.75, 6, 0.66, 0.66, 0.66, 1].
-    // Our errdist source needs >=6 gaps and falls back to [windowLength]=[3]
-    // (documented deviation), so the last element is 3 rather than 1.
+    // Our errdist source needs >=6 errors (5 gaps) and falls back to
+    // [windowLength]=[3] (documented deviation), so the last element is 3
+    // rather than 1.
     val spec = FingerprintSpec.singleFunction(2, IndexedSeq(MetaFunctions.Mean))
     val fp = Fingerprinter.make(spec, window, None)
     assert(math.abs(fp(0) - 0.75) < 1e-9)
@@ -87,6 +88,19 @@ class FingerprintSpecSuite extends AnyFunSuite {
     val spec = FingerprintSpec(1, IndexedSeq(ErrorDistSource), IndexedSeq(MetaFunctions.Mean), false)
     val fp = Fingerprinter.make(spec, manyErrors, None)
     assert(math.abs(fp(0) - 1.0) < 1e-9) // consecutive errors: every gap is 1
+  }
+
+  test("errdist reads the constant [w] below 6 errors and the real gaps from 6 errors on") {
+    val spec = FingerprintSpec(1, IndexedSeq(ErrorDistSource), MetaFunctions.all, false)
+    def bits(xs: Array[Double]) = xs.toSeq.map(java.lang.Double.doubleToLongBits)
+    def window(errorsAt: Set[Int]) =
+      (0 until 20).map(i => Labeled(Array(0.0), 0, if (errorsAt(i)) 1 else 0))
+    // 5 errors, 4 gaps: the constant one-value sequence [w].
+    val five = Fingerprinter.make(spec, window(Set(0, 2, 5, 9, 14)), None)
+    assert(bits(five) == bits(SeqStats.describe(Array(20.0))))
+    // 6 errors: their 5 real gaps.
+    val six = Fingerprinter.make(spec, window(Set(0, 2, 5, 9, 14, 19)), None)
+    assert(bits(six) == bits(SeqStats.describe(Array(2.0, 3.0, 4.0, 5.0, 5.0))))
   }
 
   test("shapley dims are zero without a classifier") {
