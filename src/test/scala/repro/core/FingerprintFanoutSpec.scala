@@ -126,10 +126,10 @@ class FingerprintFanoutSpec extends AnyFunSuite {
   */
 class FingerprintFanoutSparkSpec extends repro.SparkSpec {
 
-  test("a fingerprint call inside a Spark task stays serial; on the driver it fans out") {
+  test("a fingerprint call inside a Spark task stays serial; outside one it fans out") {
     val spec = FingerprintSpec.full(63)
-    val onDriver = Fingerprinter.chunks(spec, spec.sources.length)
+    val outside = Fingerprinter.chunks(spec, spec.sources.length)
     val inTask = spark.sparkContext.parallelize(Seq(0), 1).map(_ => Fingerprinter.chunks(spec, spec.sources.length)).collect()
-    assert(onDriver > 1 && inTask.toSeq == Seq(1), s"driver $onDriver, task ${inTask.toSeq}")
+    assert(outside > 1 && inTask.toSeq == Seq(1), s"outside a task $outside, in a task ${inTask.toSeq}")
   }
 }
