@@ -233,7 +233,7 @@ object Fingerprinter {
     * too little per call to pay for a fork), and inside a Spark task: Spark
     * already runs one task per core (the grid's cells, the streaming
     * operator's keys), and fanning out there made the 785-cell grid's wall
-    * time 12–28 % longer.
+    * time 11–28 % longer.
     */
   private[core] def chunks(spec: FingerprintSpec, computed: Int): Int =
     if ((spec.slots & SeqStats.HistogramSlots) == 0 || TaskContext.get() != null) 1
