@@ -87,28 +87,21 @@ final class FiCSUM(
   private def tailWindow: collection.IndexedSeq[Labeled] = buf.takeRight(w)
 
   /** The w-row windows of `rows` at `starts` as each of `concepts` would see
-    * them (paper's F_AS / F_SC): its classifier relabels each row once and,
-    * if it attributes rows (`Fingerprinter.attributes`), attributes it in the
-    * same leaf evaluation. A window's classifier-free kernel outputs are
-    * computed for the first concept and copied for the others; every caller
-    * passes at least one. Raw: reads neither the normalizer nor the weights.
-    * The relabelling and attribution run on the calling thread (a leaf's
-    * naive-Bayes evaluation writes its cache); only the kernel calls of
-    * `Fingerprinter.make` may run on the common pool.
+    * them (paper's F_AS / F_SC): the workspace has its classifier label the
+    * rows (`Fingerprinter.Workspace.label`), one leaf evaluation per row for
+    * the prediction and, if it attributes rows, the attributions. A window's
+    * classifier-free kernel outputs are computed for the first concept and
+    * copied for the others; every caller passes at least one. Raw: reads
+    * neither the normalizer nor the weights. The labelling runs on the
+    * calling thread (a leaf's naive-Bayes evaluation writes its cache); only
+    * the kernel calls of `Fingerprinter.make` may run on the common pool.
     */
   private[core] def foreignFingerprints(rows: collection.IndexedSeq[Labeled], starts: Seq[Int],
       concepts: collection.Seq[ConceptState]): collection.Seq[Seq[Array[Double]]] = {
     ws.load(rows)
     var first: Seq[Array[Double]] = null
     concepts.map { s =>
-      val attributes = Fingerprinter.attributes(spec, s.classifier)
-      val contribs = if (attributes) rows.indices.map(_ => new Array[Double](numFeatures)) else IndexedSeq.empty
-      var k = 0
-      while (k < rows.length) {
-        ws.l(k) = if (attributes) s.classifier.explain(rows(k).x, contribs(k)) else s.classifier.predict(rows(k).x)
-        k += 1
-      }
-      val fps = Fingerprinter.make(spec, ws, starts, w, contribs, first)
+      val fps = Fingerprinter.make(ws.label(s.classifier, relabel = true), starts, w, first)
       if (first == null) first = fps
       fps
     }
@@ -181,8 +174,7 @@ final class FiCSUM(
       // Each buffer row is loaded and attributed once; A is the tail
       // window, B the head, built in one call so their kernel calls can
       // share the idle cores.
-      val contribs = Fingerprinter.contributions(spec, buf, active.classifier)
-      val fps = Fingerprinter.make(spec, ws.load(buf), Seq(b, 0), w, contribs, null)
+      val fps = Fingerprinter.make(ws.load(buf).label(active.classifier, relabel = false), Seq(b, 0), w, null)
       val fA = fps(0)
       val fB = fps(1)
       normalizer.update(fA)

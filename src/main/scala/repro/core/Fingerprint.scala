@@ -113,19 +113,25 @@ object Fingerprinter {
   private[core] val MinChunkSources = 8
 
   /** What one engine fingerprints from: a block of rows as columns (the
-    * features the spec's sources read, y and l, each row i at index i) and
-    * the kernel's scratch. The engine loads its buffer once per fingerprint
-    * step and reads every window of it from here. Only the engine's thread
-    * loads and relabels the columns; the kernel calls of one call only read
-    * them, and each chunk of the call has its own [[Scratch]], so one
-    * workspace serves one call at a time with one scratch per chunk. The
-    * engine holds it `@transient`, so no scratch reaches its state bytes.
+    * features the spec's sources read, y and l, each row i at index i), the
+    * rows' path attributions under the last tree that labelled them, and the
+    * kernel's scratch. The engine loads its buffer once per fingerprint step,
+    * has each tree label it ([[label]]) and reads every window of it from
+    * here. Only the engine's thread loads and labels the rows; the kernel
+    * calls of one call only read them, and each chunk of the call has its
+    * own [[Scratch]], so one workspace serves one call at a time with one
+    * scratch per chunk. The engine holds it `@transient`, so neither the
+    * attributions nor any scratch reach its state bytes.
     */
-  final class Workspace(spec: FingerprintSpec) {
+  final class Workspace(val spec: FingerprintSpec) {
     private val features = spec.sources.collect { case FeatureSource(j) => j }.distinct.toArray
     private[core] val x = new Array[Array[Double]](spec.numFeatures)
     private[core] var y: Array[Double] = Array.emptyDoubleArray
     private[core] var l: Array[Double] = Array.emptyDoubleArray
+    private var rows: collection.IndexedSeq[Labeled] = IndexedSeq.empty
+    /** Row i's path attributions, read only while `attributed`. */
+    private[core] var attr = new Array[Array[Double]](0)
+    private[core] var attributed = false
     private val allSources = spec.sources.indices.toArray
     private val dependentSources = allSources.filterNot(spec.sources(_).classifierFree)
     private var scratch: Array[Scratch] = Array(new Scratch)
@@ -141,7 +147,7 @@ object Fingerprinter {
       scratch
     }
 
-    /** Copies `rows` into the columns. */
+    /** Copies `rows` into the columns, with no attributions. */
     def load(rows: collection.IndexedSeq[Labeled]): this.type = {
       val n = rows.length
       if (y.length < n) {
@@ -155,6 +161,29 @@ object Fingerprinter {
         l(i) = o.l
         var f = 0
         while (f < features.length) { val j = features(f); x(j)(i) = o.x(j); f += 1 }
+        i += 1
+      }
+      this.rows = rows
+      attributed = false
+      this
+    }
+
+    /** Evaluates each row of the last [[load]], unchanged since, once under
+      * `tree`: its path attributions replace the rows' when `tree` attributes
+      * rows ([[attributes]]; else the rows have none), and with `relabel` its
+      * prediction replaces the row's in `l` (a window as `tree` would label
+      * it). With neither to do, evaluates nothing.
+      */
+    def label(tree: HoeffdingTree, relabel: Boolean): this.type = {
+      attributed = attributes(spec, tree)
+      if (!attributed && !relabel) return this
+      if (attributed && attr.length < rows.length) attr = Array.fill(rows.length)(new Array[Double](spec.numFeatures))
+      var i = 0
+      while (i < rows.length) {
+        val p =
+          if (attributed) { java.util.Arrays.fill(attr(i), 0.0); tree.explain(rows(i).x, attr(i)) }
+          else tree.predict(rows(i).x)
+        if (relabel) l(i) = p
         i += 1
       }
       this
@@ -207,13 +236,6 @@ object Fingerprinter {
   private[core] def attributes(spec: FingerprintSpec, tree: HoeffdingTree): Boolean =
     spec.includeShapley && tree.splitEvents > 0
 
-  /** Path attributions of each of `rows` under `tree`, one leaf evaluation
-    * per row; empty when the tree does not attribute them (`attributes`).
-    */
-  def contributions(spec: FingerprintSpec, rows: collection.IndexedSeq[Labeled], tree: HoeffdingTree): IndexedSeq[Array[Double]] =
-    if (!attributes(spec, tree)) IndexedSeq.empty
-    else rows.iterator.map { o => val c = new Array[Double](tree.numFeatures); tree.explain(o.x, c); c }.toIndexedSeq
-
   /** Raw (unnormalized) fingerprint of `window`. `classifier` supplies the
     * Shapley (path-attribution) dimensions when the spec includes them.
     */
@@ -222,8 +244,9 @@ object Fingerprinter {
       window: IndexedSeq[Labeled],
       classifier: Option[HoeffdingTree],
   ): Array[Double] = {
-    val contribs = classifier.fold(IndexedSeq.empty[Array[Double]])(contributions(spec, window, _))
-    make(spec, new Workspace(spec).load(window), Seq(0), window.length, contribs, null).head
+    val ws = new Workspace(spec).load(window)
+    classifier.foreach(ws.label(_, relabel = false))
+    make(ws, Seq(0), window.length, null).head
   }
 
   /** How many chunks a call that computes `computed` sources splits its
@@ -239,12 +262,13 @@ object Fingerprinter {
     if ((spec.slots & SeqStats.HistogramSlots) == 0 || TaskContext.get() != null) 1
     else math.min(ForkJoinPool.getCommonPoolParallelism + 1, computed / MinChunkSources)
 
-  /** Raw fingerprints of the w-row windows at `starts` of the rows loaded in
-    * `ws`, one per start. `contribs(i)` are loaded row i's path attributions
-    * (empty: none). `shared`, if not null, holds one fingerprint per start of
-    * the same rows under another classifier: the classifier-free sources
-    * (input features and labels) do not depend on which classifier labels
-    * the rows, so their dims are copied from it instead of computed.
+  /** Raw fingerprints, under `ws.spec`, of the w-row windows at `starts` of
+    * the rows loaded in `ws`, one per start; the Shapley dims average the
+    * rows' attributions in `ws` (+0.0 with none). `shared`, if not null,
+    * holds one fingerprint per start of the same rows under another
+    * classifier: the classifier-free sources (input features and labels) do
+    * not depend on which classifier labels the rows, so their dims are
+    * copied from it instead of computed.
     *
     * The kernel calls, one per computed source and window, are pure
     * functions of the loaded columns; they are split by source into
@@ -254,26 +278,23 @@ object Fingerprinter {
     * are summed on the calling thread.
     */
   def make(
-      spec: FingerprintSpec,
       ws: Workspace,
       starts: collection.Seq[Int],
       w: Int,
-      contribs: IndexedSeq[Array[Double]],
       shared: collection.Seq[Array[Double]],
   ): IndexedSeq[Array[Double]] =
-    make(spec, ws, starts, w, contribs, shared, chunks(spec, ws.computed(shared != null).length))
+    make(ws, starts, w, shared, chunks(ws.spec, ws.computed(shared != null).length))
 
   /** [[make]] split into `chunks` chunks (at most one per computed source). */
   private[core] def make(
-      spec: FingerprintSpec,
       ws: Workspace,
       starts: collection.Seq[Int],
       w: Int,
-      contribs: IndexedSeq[Array[Double]],
       shared: collection.Seq[Array[Double]],
       chunks: Int,
   ): IndexedSeq[Array[Double]] = {
     require(w > 0, "cannot fingerprint an empty window")
+    val spec = ws.spec
     val from = starts.toArray
     val fps = IndexedSeq.fill(from.length)(new Array[Double](spec.dim))
     val nf = spec.functions.length
@@ -309,23 +330,14 @@ object Fingerprinter {
       forked.foreach(t => if (!t.tryRun()) t.join())
     }
 
-    if (spec.includeShapley) {
-      val k0 = spec.sources.length * nf
-      for (j <- from.indices) {
-        val acc = new Array[Double](spec.numFeatures)
-        if (contribs.nonEmpty) {
-          var i = from(j)
-          while (i < from(j) + w) {
-            val c = contribs(i)
-            var f = 0
-            while (f < spec.numFeatures) { acc(f) += c(f); f += 1 }
-            i += 1
-          }
-        }
-        var f = 0
-        while (f < spec.numFeatures) { fps(j)(k0 + f) = acc(f) / w; f += 1 }
+    // Each Shapley dim: +0.0 plus the window's rows in ascending order, / w.
+    if (spec.includeShapley)
+      for (j <- from.indices; f <- 0 until spec.numFeatures) {
+        var acc = 0.0
+        var i = from(j)
+        while (ws.attributed && i < from(j) + w) { acc += ws.attr(i)(f); i += 1 }
+        fps(j)(spec.sources.length * nf + f) = acc / w
       }
-    }
     fps
   }
 

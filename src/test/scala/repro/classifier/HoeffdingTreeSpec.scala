@@ -453,15 +453,22 @@ class ExplainSpec extends AnyFunSuite {
     val zeros = new Array[Double](flat.numFeatures)
     // A root leaf's path attributions are +0.0 for every feature.
     assert(window.forall(o => bits(ContributionOracle.featureContributions(flat, o.x)) == bits(zeros)))
-    assert(Fingerprinter.contributions(spec, window, flat).isEmpty)
     val fp = Fingerprinter.make(spec, window, Some(flat))
     assert(bits(fp) == bits(Fingerprinter.make(spec, window, None)))
     // Summed +0.0 attributions over the window: the Shapley dims are +0.0.
     assert(bits(fp.takeRight(flat.numFeatures)) == bits(zeros))
-    // A split tree still attributes every row.
+    // A split tree attributes every row: its Shapley dims are the oracle's
+    // per-feature mean over the window (+0.0, then the rows in order, / w).
     val (aq, aqRows) = byName("AQSex")
     val aqWindow = aqRows.take(50).map(x => Labeled(x, 0, aq.predict(x)))
-    assert(Fingerprinter.contributions(FingerprintSpec.full(aq.numFeatures), aqWindow, aq).length == 50)
+    val mean = Array.tabulate(aq.numFeatures) { f =>
+      var acc = 0.0
+      aqWindow.foreach(o => acc += ContributionOracle.featureContributions(aq, o.x)(f))
+      acc / aqWindow.length
+    }
+    val aqFp = Fingerprinter.make(FingerprintSpec.full(aq.numFeatures), aqWindow, Some(aq))
+    assert(bits(aqFp.takeRight(aq.numFeatures)) == bits(mean))
+    assert(mean.exists(_ != 0.0))
   }
 
   test("the oracle trees cover naive-Bayes leaves, 3 classes and an unsplit root") {

@@ -198,37 +198,76 @@ class FiCSUMSpec extends AnyFunSuite {
     assert(f.repositorySize <= 4, s"repo=${f.repositorySize} for 2 true concepts")
   }
 
-  test("a foreign fingerprint with the shared classifier-free block equals the direct one for every variant") {
+  private val w = FiCSUMConfig().windowSize
+  private def bits(fps: collection.Seq[Array[Double]]) = fps.map(_.toSeq.map(java.lang.Double.doubleToLongBits))
+
+  /** AQSex trees of stored concepts, grown on the first segments: one has
+    * split, the other has seen fewer rows than its grace period, so its
+    * Shapley dims take the root leaf's zero path. The b + w buffer is
+    * labelled by another tree on later data, as in the engine.
+    */
+  private lazy val (split, unsplit, buffer) = {
     val aq = Datasets.aqSex.build(1)
-    val d = aq.numFeatures
-    val fc = FiCSUMConfig()
-    val (w, cfg) = (fc.windowSize, fc.treeConfig)
-    // Stored concepts' trees grown on the first segments: one has split,
-    // the other has seen fewer rows than its grace period, so its Shapley
-    // dims take the root leaf's zero path. The buffer is labelled by
-    // another tree on later data, as in the engine.
-    val split = new HoeffdingTree(d, aq.numClasses, cfg, seed = 3)
+    val (d, fc) = (aq.numFeatures, FiCSUMConfig())
+    val split = new HoeffdingTree(d, aq.numClasses, fc.treeConfig, seed = 3)
     aq.obs.take(1500).foreach(o => split.train(o.x, o.y))
-    val unsplit = new HoeffdingTree(d, aq.numClasses, cfg, seed = 5)
+    val unsplit = new HoeffdingTree(d, aq.numClasses, fc.treeConfig, seed = 5)
     aq.obs.take(60).foreach(o => unsplit.train(o.x, o.y))
-    val home = new HoeffdingTree(d, aq.numClasses, cfg, seed = 4)
+    val home = new HoeffdingTree(d, aq.numClasses, fc.treeConfig, seed = 4)
     val labelled = aq.obs.slice(1500, 2400).map { o =>
       val l = home.predict(o.x); home.train(o.x, o.y); Labeled(o.x, o.y, l)
     }
     val buffer = labelled.takeRight(fc.bufferLen + w)
     assert(split.splitEvents >= 1 && buffer.exists(o => split.predict(o.x) != o.l))
     assert(unsplit.splitEvents == 0)
+    (split, unsplit, buffer)
+  }
+
+  test("a workspace labelled without relabelling keeps l; relabelled, it is the window as the tree labels it") {
+    import repro.classifier.ContributionOracle
+    val d = split.numFeatures
+    val spec = FingerprintSpec.full(d)
+    val starts = Seq(0, buffer.length - w)
+    val windows = starts.map(o => buffer.slice(o, o + w))
+    val ws = new Fingerprinter.Workspace(spec)
+    // Without relabelling, every dim but the Shapley ones (l, err and
+    // errdist among them) is that of the loaded rows with no classifier, and
+    // the Shapley dims are the window's mean attributions under the tree.
+    val kept = Fingerprinter.make(ws.load(buffer).label(split, relabel = false), starts, w, null)
+    assert(bits(kept.map(_.dropRight(d))) == bits(windows.map(Fingerprinter.make(spec, _, None).dropRight(d))))
+    val means = windows.map { window =>
+      Array.tabulate(d) { f =>
+        var acc = 0.0
+        window.foreach(o => acc += ContributionOracle.featureContributions(split, o.x)(f))
+        acc / w
+      }
+    }
+    assert(bits(kept.map(_.takeRight(d))) == bits(means))
+    assert(means.forall(_.exists(_ != 0.0)))
+    // An unsplit tree leaves the rows with no attributions, whatever the last tree left.
+    val cleared = Fingerprinter.make(ws.label(unsplit, relabel = false), starts, w, null)
+    assert(bits(cleared) == bits(windows.map(Fingerprinter.make(spec, _, None))))
+    // Relabelling gives the foreign-fingerprint oracle: make over the rows relabelled with predict.
+    for (tree <- Seq(split, unsplit)) {
+      val got = Fingerprinter.make(ws.load(buffer).label(tree, relabel = true), starts, w, null)
+      val want = windows.map(win => Fingerprinter.make(spec, win.map(r => r.copy(l = tree.predict(r.x))), Some(tree)))
+      assert(bits(got) == bits(want))
+    }
+    assert(bits(Fingerprinter.make(ws.load(buffer).label(split, relabel = true), starts, w, null)) != bits(kept))
+  }
+
+  test("a foreign fingerprint with the shared classifier-free block equals the direct one for every variant") {
+    val d = split.numFeatures
     // Model selection's staggered starts over the full b + w buffer, and the
     // tail window alone as the F_SC refresh and the probe take it.
     val shapes = Seq(
       (buffer, Seq(0, (buffer.length - w) / 2, buffer.length - w)),
       (buffer.takeRight(w), Seq(0)),
     )
-    def bits(fps: collection.Seq[Seq[Array[Double]]]) = fps.map(_.map(_.toSeq.map(java.lang.Double.doubleToLongBits)))
     val variants = Seq("FiCSUM", "S-MI", "U-MI", "ER", "fn:Shapley Value") ++
       MetaFunctions.tableVGroups.map { case (label, _) => s"fn:$label" }
     for (name <- variants; (rows, starts) <- shapes) {
-      val f = Systems.create(name, d, aq.numClasses, 1).asInstanceOf[FiCSUM]
+      val f = Systems.create(name, d, split.numClasses, 1).asInstanceOf[FiCSUM]
       val concepts = Seq(split, unsplit).zipWithIndex.map { case (t, id) => new ConceptState(id, f.spec.dim, t) }
       val got = f.foreignFingerprints(rows, starts, concepts)
       val want = concepts.map { s =>
@@ -237,7 +276,7 @@ class FiCSUMSpec extends AnyFunSuite {
           Fingerprinter.make(f.spec, window.map(r => r.copy(l = s.classifier.predict(r.x))), Some(s.classifier))
         }
       }
-      assert(bits(got) == bits(want), s"$name over ${rows.length} rows from $starts")
+      assert(got.map(bits) == want.map(bits), s"$name over ${rows.length} rows from $starts")
     }
   }
 }

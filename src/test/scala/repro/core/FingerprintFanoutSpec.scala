@@ -43,14 +43,22 @@ class FingerprintFanoutSpec extends AnyFunSuite {
     }
   }
 
+  /** `rows` loaded into `ws` with the path attributions `contribs` (empty: none). */
+  private def loaded(ws: Fingerprinter.Workspace, rows: IndexedSeq[Labeled],
+      contribs: IndexedSeq[Array[Double]]): Fingerprinter.Workspace = {
+    ws.load(rows)
+    ws.attributed = contribs.nonEmpty
+    ws.attr = contribs.toArray
+    ws
+  }
+
   /** The serial loop one window at a time, on a workspace that holds only its rows. */
   private def perWindow(spec: FingerprintSpec, rs: IndexedSeq[Labeled], starts: Seq[Int], w: Int,
       contribs: IndexedSeq[Array[Double]], shared: collection.Seq[Array[Double]]): Seq[Array[Double]] =
     starts.indices.map { j =>
-      val window = rs.slice(starts(j), starts(j) + w)
-      val cs = if (contribs.isEmpty) contribs else contribs.slice(starts(j), starts(j) + w)
-      val sh = if (shared == null) null else Seq(shared(j))
-      Fingerprinter.make(spec, new Fingerprinter.Workspace(spec).load(window), Seq(0), w, cs, sh, 1).head
+      val ws = loaded(new Fingerprinter.Workspace(spec), rs.slice(starts(j), starts(j) + w),
+        if (contribs.isEmpty) contribs else contribs.slice(starts(j), starts(j) + w))
+      Fingerprinter.make(ws, Seq(0), w, if (shared == null) null else Seq(shared(j)), 1).head
     }
 
   test("property: every chunk count gives the serial per-window fingerprints, with and without shared dims") {
@@ -73,8 +81,8 @@ class FingerprintFanoutSpec extends AnyFunSuite {
         Seq(1, 2, 3, 7).forall { k =>
           calls += 1
           val ws = new Fingerprinter.Workspace(spec)
-          val direct = Fingerprinter.make(spec, ws.load(rs), starts, w, contribs, null, k)
-          val shared = Fingerprinter.make(spec, ws.load(relabelled), starts, w, contribs, serial, k)
+          val direct = Fingerprinter.make(loaded(ws, rs, contribs), starts, w, null, k)
+          val shared = Fingerprinter.make(loaded(ws, relabelled, contribs), starts, w, serial, k)
           assert(bits(direct) == bits(serial), s"$name, d=$d, w=$w, starts $starts, $k chunks")
           assert(bits(shared) == bits(serialShared), s"$name, d=$d, w=$w, starts $starts, $k chunks, shared")
           true
