@@ -23,8 +23,11 @@ final case class HoeffdingTreeConfig(
   * Extras needed by this reproduction:
   *  - `splitEvents` counts structural changes (FiCSUM resets
   *    classifier-dependent meta-information when the tree grows, §IV);
-  *  - `featureContributions` returns Saabas-style path attributions used as
-  *    the fast tree "Shapley value" meta-information feature (Table I);
+  *  - `explain` adds Saabas-style path attributions, the fast tree
+  *    "Shapley value" meta-information feature (Table I), and returns the
+  *    prediction; FiCSUM reads it through `Fingerprinter.Workspace.label`.
+  *    `featureContributions`, the attributions alone in a fresh array, is
+  *    kept for the benchmark's `classifier.contrib_us` and for tests;
   *  - optional per-leaf feature subspaces + weighted training for ARF.
   */
 final class HoeffdingTree(

@@ -89,9 +89,9 @@ final class FiCSUM(
   /** The w-row windows of `rows` at `starts` as each of `concepts` would see
     * them (paper's F_AS / F_SC): the workspace has its classifier label the
     * rows (`Fingerprinter.Workspace.label`), one leaf evaluation per row for
-    * the prediction and, if it attributes rows, the attributions. A window's
-    * classifier-free kernel outputs are computed for the first concept and
-    * copied for the others; every caller passes at least one. Raw: reads
+    * the prediction and, if it attributes rows, the attributions. The rows
+    * are loaded once, so the workspace computes the windows' classifier-free
+    * dims for the first concept and copies them for the others. Raw: reads
     * neither the normalizer nor the weights. The labelling runs on the
     * calling thread (a leaf's naive-Bayes evaluation writes its cache); only
     * the kernel calls of `Fingerprinter.make` may run on the common pool.
@@ -99,12 +99,7 @@ final class FiCSUM(
   private[core] def foreignFingerprints(rows: collection.IndexedSeq[Labeled], starts: Seq[Int],
       concepts: collection.Seq[ConceptState]): collection.Seq[Seq[Array[Double]]] = {
     ws.load(rows)
-    var first: Seq[Array[Double]] = null
-    concepts.map { s =>
-      val fps = Fingerprinter.make(ws.label(s.classifier, relabel = true), starts, w, first)
-      if (first == null) first = fps
-      fps
-    }
+    concepts.map(s => Fingerprinter.make(ws.label(s.classifier, relabel = true), starts, w))
   }
 
   /** The stored concepts other than the active one. */
@@ -174,7 +169,7 @@ final class FiCSUM(
       // Each buffer row is loaded and attributed once; A is the tail
       // window, B the head, built in one call so their kernel calls can
       // share the idle cores.
-      val fps = Fingerprinter.make(ws.load(buf).label(active.classifier, relabel = false), Seq(b, 0), w, null)
+      val fps = Fingerprinter.make(ws.load(buf).label(active.classifier, relabel = false), Seq(b, 0), w)
       val fA = fps(0)
       val fB = fps(1)
       normalizer.update(fA)

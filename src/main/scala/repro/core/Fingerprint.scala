@@ -114,32 +114,59 @@ object Fingerprinter {
 
   /** What one engine fingerprints from: a block of rows as columns (the
     * features the spec's sources read, y and l, each row i at index i), the
-    * rows' path attributions under the last tree that labelled them, and the
-    * kernel's scratch. The engine loads its buffer once per fingerprint step,
-    * has each tree label it ([[label]]) and reads every window of it from
-    * here. Only the engine's thread loads and labels the rows; the kernel
+    * rows' path attributions under the last tree that labelled them, the
+    * classifier-free dims of the windows a [[make]] since the load computed,
+    * and the kernel's scratch. The engine loads its buffer once per
+    * fingerprint step, has each tree label it ([[label]]) and reads every
+    * window of it from here. A label rewrites only l and the attributions,
+    * never x or y, so the feature and label sources' dims of the same
+    * windows are the same under every tree: a later [[make]] of the same
+    * starts and w copies them and computes only the classifier-dependent
+    * sources. Only the engine's thread loads and labels the rows; the kernel
     * calls of one call only read them, and each chunk of the call has its
     * own [[Scratch]], so one workspace serves one call at a time with one
     * scratch per chunk. The engine holds it `@transient`, so neither the
-    * attributions nor any scratch reach its state bytes.
+    * attributions, the held dims nor any scratch reach its state bytes.
     */
   final class Workspace(val spec: FingerprintSpec) {
     private val features = spec.sources.collect { case FeatureSource(j) => j }.distinct.toArray
     private[core] val x = new Array[Array[Double]](spec.numFeatures)
     private[core] var y: Array[Double] = Array.emptyDoubleArray
     private[core] var l: Array[Double] = Array.emptyDoubleArray
-    private var rows: collection.IndexedSeq[Labeled] = IndexedSeq.empty
+    private[core] var rows: collection.IndexedSeq[Labeled] = IndexedSeq.empty
     /** Row i's path attributions, read only while `attributed`. */
     private[core] var attr = new Array[Array[Double]](0)
     private[core] var attributed = false
     private val allSources = spec.sources.indices.toArray
-    private val dependentSources = allSources.filterNot(spec.sources(_).classifierFree)
+    private val (freeSources, dependentSources) = allSources.partition(spec.sources(_).classifierFree)
+    /** Copies of the fingerprints the last [[make]] since the last [[load]]
+      * computed in full, of the windows at `heldStarts` of width `heldW` (0:
+      * none held); only their classifier-free dims are read.
+      */
+    private var held: IndexedSeq[Array[Double]] = IndexedSeq.empty
+    private var heldStarts = Array.emptyIntArray
+    private var heldW = 0
     private var scratch: Array[Scratch] = Array(new Scratch)
 
-    /** Indices of the sources a call computes: every source, or only the
-      * classifier-dependent ones when the classifier-free dims are shared.
+    private def holds(from: Array[Int], w: Int) = w == heldW && java.util.Arrays.equals(from, heldStarts)
+
+    /** Indices of the sources a [[make]] of the w-row windows at `from`
+      * computes: only the classifier-dependent ones when the held dims are
+      * of those windows, else every source.
       */
-    private[core] def computed(shared: Boolean): Array[Int] = if (shared) dependentSources else allSources
+    private[core] def sources(from: Array[Int], w: Int): Array[Int] =
+      if (holds(from, w)) dependentSources else allSources
+
+    /** After a [[make]] of the windows at `from` computed its sources into
+      * `fps` (one per start): copies the held classifier-free dims into
+      * `fps` when they are of those windows, else holds copies of `fps`
+      * (none when the spec has no classifier-free source).
+      */
+    private[core] def share(fps: IndexedSeq[Array[Double]], from: Array[Int], w: Int): Unit = {
+      val nf = spec.functions.length
+      if (holds(from, w)) for (j <- from.indices; si <- freeSources) System.arraycopy(held(j), si * nf, fps(j), si * nf, nf)
+      else if (freeSources.nonEmpty) { held = fps.map(_.clone); heldStarts = from; heldW = w }
+    }
 
     /** One scratch per chunk of a k-chunk call; chunk 0's is the serial loop's. */
     private[core] def scratch(k: Int): Array[Scratch] = {
@@ -147,7 +174,7 @@ object Fingerprinter {
       scratch
     }
 
-    /** Copies `rows` into the columns, with no attributions. */
+    /** Copies `rows` into the columns, with no attributions and no held dims. */
     def load(rows: collection.IndexedSeq[Labeled]): this.type = {
       val n = rows.length
       if (y.length < n) {
@@ -165,6 +192,7 @@ object Fingerprinter {
       }
       this.rows = rows
       attributed = false
+      heldW = 0
       this
     }
 
@@ -246,7 +274,7 @@ object Fingerprinter {
   ): Array[Double] = {
     val ws = new Workspace(spec).load(window)
     classifier.foreach(ws.label(_, relabel = false))
-    make(ws, Seq(0), window.length, null).head
+    make(ws, Seq(0), window.length).head
   }
 
   /** How many chunks a call that computes `computed` sources splits its
@@ -263,12 +291,11 @@ object Fingerprinter {
     else math.min(ForkJoinPool.getCommonPoolParallelism + 1, computed / MinChunkSources)
 
   /** Raw fingerprints, under `ws.spec`, of the w-row windows at `starts` of
-    * the rows loaded in `ws`, one per start; the Shapley dims average the
-    * rows' attributions in `ws` (+0.0 with none). `shared`, if not null,
-    * holds one fingerprint per start of the same rows under another
-    * classifier: the classifier-free sources (input features and labels) do
-    * not depend on which classifier labels the rows, so their dims are
-    * copied from it instead of computed.
+    * the rows loaded in `ws`, one per start; every window must lie inside
+    * them. The Shapley dims average the rows' attributions in `ws` (+0.0
+    * with none). The classifier-free dims (input features and labels) are
+    * copied when a call since the load computed them for the same starts
+    * and w, else computed and held for later calls.
     *
     * The kernel calls, one per computed source and window, are pure
     * functions of the loaded columns; they are split by source into
@@ -277,31 +304,24 @@ object Fingerprinter {
     * yet, so under a busy pool the call is the serial loop. The Shapley dims
     * are summed on the calling thread.
     */
-  def make(
-      ws: Workspace,
-      starts: collection.Seq[Int],
-      w: Int,
-      shared: collection.Seq[Array[Double]],
-  ): IndexedSeq[Array[Double]] =
-    make(ws, starts, w, shared, chunks(ws.spec, ws.computed(shared != null).length))
+  def make(ws: Workspace, starts: collection.Seq[Int], w: Int): IndexedSeq[Array[Double]] =
+    make(ws, starts, w, chunks(ws.spec, ws.sources(starts.toArray, w).length))
 
   /** [[make]] split into `chunks` chunks (at most one per computed source). */
   private[core] def make(
       ws: Workspace,
       starts: collection.Seq[Int],
       w: Int,
-      shared: collection.Seq[Array[Double]],
       chunks: Int,
   ): IndexedSeq[Array[Double]] = {
     require(w > 0, "cannot fingerprint an empty window")
     val spec = ws.spec
     val from = starts.toArray
+    require(from.forall(s => s >= 0 && s + w <= ws.rows.length),
+      s"windows at $starts of width $w do not lie inside the ${ws.rows.length} loaded rows")
     val fps = IndexedSeq.fill(from.length)(new Array[Double](spec.dim))
     val nf = spec.functions.length
-    val sources = ws.computed(shared != null)
-    if (shared != null)
-      for (si <- spec.sources.indices if spec.sources(si).classifierFree; j <- from.indices)
-        System.arraycopy(shared(j), si * nf, fps(j), si * nf, nf)
+    val sources = ws.sources(from, w)
 
     // Chunk c computes sources(⌊n·c/k⌋ until ⌊n·(c+1)/k⌋) into their dims
     // of every window; no two chunks write the same dim.
@@ -329,6 +349,7 @@ object Fingerprinter {
       run(sc(0), 0, k)
       forked.foreach(t => if (!t.tryRun()) t.join())
     }
+    ws.share(fps, from, w)
 
     // Each Shapley dim: +0.0 plus the window's rows in ascending order, / w.
     if (spec.includeShapley)

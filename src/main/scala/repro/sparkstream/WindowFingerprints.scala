@@ -18,9 +18,10 @@ final case class WindowFingerprint(streamId: Int, windowId: Long, fingerprint: S
   *    features as pure Spark SQL window aggregates (raw moments m1–m4 per
   *    feature), which the DuckDB oracle re-computes identically in tests.
   *  - [[fingerprints]] computes the *full* meta-information vector per
-  *    window with the same [[Fingerprinter]] used by the sequential engine,
-  *    as a typed aggregation over `collect_list` — exact parity with the
-  *    online fingerprint construction is asserted in tests.
+  *    window with the same [[Fingerprinter]] used by the sequential engine:
+  *    `groupByKey` on (stream, window id), then `mapGroups` sorts each
+  *    window's rows by ts — exact parity with the online fingerprint
+  *    construction is asserted in tests.
   */
 object WindowFingerprints {
 

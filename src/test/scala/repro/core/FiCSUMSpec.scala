@@ -233,7 +233,7 @@ class FiCSUMSpec extends AnyFunSuite {
     // Without relabelling, every dim but the Shapley ones (l, err and
     // errdist among them) is that of the loaded rows with no classifier, and
     // the Shapley dims are the window's mean attributions under the tree.
-    val kept = Fingerprinter.make(ws.load(buffer).label(split, relabel = false), starts, w, null)
+    val kept = Fingerprinter.make(ws.load(buffer).label(split, relabel = false), starts, w)
     assert(bits(kept.map(_.dropRight(d))) == bits(windows.map(Fingerprinter.make(spec, _, None).dropRight(d))))
     val means = windows.map { window =>
       Array.tabulate(d) { f =>
@@ -245,15 +245,15 @@ class FiCSUMSpec extends AnyFunSuite {
     assert(bits(kept.map(_.takeRight(d))) == bits(means))
     assert(means.forall(_.exists(_ != 0.0)))
     // An unsplit tree leaves the rows with no attributions, whatever the last tree left.
-    val cleared = Fingerprinter.make(ws.label(unsplit, relabel = false), starts, w, null)
+    val cleared = Fingerprinter.make(ws.label(unsplit, relabel = false), starts, w)
     assert(bits(cleared) == bits(windows.map(Fingerprinter.make(spec, _, None))))
     // Relabelling gives the foreign-fingerprint oracle: make over the rows relabelled with predict.
     for (tree <- Seq(split, unsplit)) {
-      val got = Fingerprinter.make(ws.load(buffer).label(tree, relabel = true), starts, w, null)
+      val got = Fingerprinter.make(ws.load(buffer).label(tree, relabel = true), starts, w)
       val want = windows.map(win => Fingerprinter.make(spec, win.map(r => r.copy(l = tree.predict(r.x))), Some(tree)))
       assert(bits(got) == bits(want))
     }
-    assert(bits(Fingerprinter.make(ws.load(buffer).label(split, relabel = true), starts, w, null)) != bits(kept))
+    assert(bits(Fingerprinter.make(ws.load(buffer).label(split, relabel = true), starts, w)) != bits(kept))
   }
 
   test("a foreign fingerprint with the shared classifier-free block equals the direct one for every variant") {

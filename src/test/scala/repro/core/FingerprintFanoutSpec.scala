@@ -52,13 +52,24 @@ class FingerprintFanoutSpec extends AnyFunSuite {
     ws
   }
 
-  /** The serial loop one window at a time, on a workspace that holds only its rows. */
+  /** `ws` with the predictions of `rows` (the loaded rows relabelled) written into `l`. */
+  private def relabelled(ws: Fingerprinter.Workspace, rows: IndexedSeq[Labeled]): Fingerprinter.Workspace = {
+    rows.indices.foreach(i => ws.l(i) = rows(i).l)
+    ws
+  }
+
+  /** The serial loop one window at a time, on a workspace that holds only
+    * its rows; with `relabel`, a second call after its rows' predictions
+    * are replaced by those of `relabel`.
+    */
   private def perWindow(spec: FingerprintSpec, rs: IndexedSeq[Labeled], starts: Seq[Int], w: Int,
-      contribs: IndexedSeq[Array[Double]], shared: collection.Seq[Array[Double]]): Seq[Array[Double]] =
+      contribs: IndexedSeq[Array[Double]], relabel: IndexedSeq[Labeled] = null): Seq[Array[Double]] =
     starts.indices.map { j =>
       val ws = loaded(new Fingerprinter.Workspace(spec), rs.slice(starts(j), starts(j) + w),
         if (contribs.isEmpty) contribs else contribs.slice(starts(j), starts(j) + w))
-      Fingerprinter.make(ws, Seq(0), w, if (shared == null) null else Seq(shared(j)), 1).head
+      val first = Fingerprinter.make(ws, Seq(0), w, 1).head
+      if (relabel == null) first
+      else Fingerprinter.make(relabelled(ws, relabel.slice(starts(j), starts(j) + w)), Seq(0), w, 1).head
     }
 
   test("property: every chunk count gives the serial per-window fingerprints, with and without shared dims") {
@@ -72,19 +83,20 @@ class FingerprintFanoutSpec extends AnyFunSuite {
       val contribs =
         if (rng.nextBoolean()) IndexedSeq.empty else rs.map(_ => Array.fill(d)(rng.nextGaussian()))
       // The same rows under another classifier: other predictions, same x and y.
-      val relabelled = rs.map(o => o.copy(l = rng.nextInt(2)))
+      val other = rs.map(o => o.copy(l = rng.nextInt(2)))
       specs(d).forall { case (name, spec) =>
-        val serial = perWindow(spec, rs, starts, w, contribs, null)
-        val other = perWindow(spec, relabelled, starts, w, contribs, null)
-        val serialShared = perWindow(spec, relabelled, starts, w, contribs, serial)
-        assert(bits(serialShared) == bits(other), s"$name: the shared dims differ from the computed ones")
+        val serial = perWindow(spec, rs, starts, w, contribs)
+        val serialOther = perWindow(spec, other, starts, w, contribs)
+        val serialShared = perWindow(spec, rs, starts, w, contribs, relabel = other)
+        assert(bits(serialShared) == bits(serialOther), s"$name: the shared dims differ from the computed ones")
         Seq(1, 2, 3, 7).forall { k =>
           calls += 1
-          val ws = new Fingerprinter.Workspace(spec)
-          val direct = Fingerprinter.make(loaded(ws, rs, contribs), starts, w, null, k)
-          val shared = Fingerprinter.make(loaded(ws, relabelled, contribs), starts, w, serial, k)
+          val ws = loaded(new Fingerprinter.Workspace(spec), rs, contribs)
+          val direct = Fingerprinter.make(ws, starts, w, k)
+          // A second call on the same load shares the first one's classifier-free dims.
+          val shared = Fingerprinter.make(relabelled(ws, other), starts, w, k)
           assert(bits(direct) == bits(serial), s"$name, d=$d, w=$w, starts $starts, $k chunks")
-          assert(bits(shared) == bits(serialShared), s"$name, d=$d, w=$w, starts $starts, $k chunks, shared")
+          assert(bits(shared) == bits(serialOther), s"$name, d=$d, w=$w, starts $starts, $k chunks, shared")
           true
         }
       }
@@ -94,20 +106,44 @@ class FingerprintFanoutSpec extends AnyFunSuite {
     assert(calls >= 100 * specs(1).length * 4)
   }
 
-  test("ER, S-MI, fn:Mean, STAGGER and stored concepts' foreign fingerprints stay serial; full ones of wide data fan out") {
-    def computed(spec: FingerprintSpec, shared: Boolean) =
-      spec.sources.count(s => !(shared && s.classifierFree))
-    def chunks(spec: FingerprintSpec, shared: Boolean = false) = Fingerprinter.chunks(spec, computed(spec, shared))
-    for (d <- Seq(3, 25, 63)) {
-      assert(chunks(FingerprintSpec.errorRate(d)) <= 1)
-      assert(chunks(FingerprintSpec.supervised(d)) <= 1)
-      assert(chunks(FingerprintSpec.singleFunction(d, IndexedSeq(MetaFunctions.Mean))) <= 1)
-      // A stored concept's foreign fingerprint computes only l, err and errdist.
-      assert(chunks(FingerprintSpec.full(d), shared = true) <= 1)
+  test("a call after a load of other rows, or of other starts or w, computes every source instead of sharing") {
+    val rng = new scala.util.Random(7)
+    val (d, w) = (3, 20)
+    val spec = FingerprintSpec.full(d)
+    val rs = rows(rng, d, 40)
+    // Other x, the same y and predictions: only the feature sources' dims differ.
+    val moved = rs.map(o => o.copy(x = o.x.map(_ + 1.5)))
+    def fresh(rows: IndexedSeq[Labeled], starts: Seq[Int], w: Int) =
+      Fingerprinter.make(new Fingerprinter.Workspace(spec).load(rows), starts, w)
+    val starts = Seq(0, 20)
+    val ws = new Fingerprinter.Workspace(spec).load(rs)
+    assert(ws.sources(starts.toArray, w).length == spec.sources.length)
+    assert(bits(Fingerprinter.make(ws, starts, w)) == bits(fresh(rs, starts, w)))
+    // Only l, err and errdist are left to compute for the same windows.
+    assert(ws.sources(starts.toArray, w).length == 3)
+    assert(bits(fresh(moved, starts, w)) != bits(fresh(rs, starts, w)))
+    // Each case follows a call on `rs` of `starts` and w.
+    for ((rows, from, width) <- Seq((rs, Seq(5, 20), w), (rs, starts, 10), (moved, starts, w))) {
+      Fingerprinter.make(ws.load(rs), starts, w)
+      if (rows ne rs) ws.load(rows)
+      assert(ws.sources(from.toArray, width).length == spec.sources.length, s"$from, w=$width")
+      assert(bits(Fingerprinter.make(ws, from, width)) == bits(fresh(rows, from, width)), s"$from, w=$width")
     }
-    assert(chunks(FingerprintSpec.full(3)) <= 1, "STAGGER")
+  }
+
+  test("ER, S-MI, fn:Mean, STAGGER and stored concepts' foreign fingerprints stay serial; full ones of wide data fan out") {
+    // The sources a call computes: ER's err; S-MI's y, l, err and errdist;
+    // fn:Mean's d + 4; a stored concept's foreign fingerprint after the
+    // first one of the same windows, l, err and errdist.
+    for (d <- Seq(3, 25, 63)) {
+      assert(Fingerprinter.chunks(FingerprintSpec.errorRate(d), 1) <= 1)
+      assert(Fingerprinter.chunks(FingerprintSpec.supervised(d), 4) <= 1)
+      assert(Fingerprinter.chunks(FingerprintSpec.singleFunction(d, IndexedSeq(MetaFunctions.Mean)), d + 4) <= 1)
+      assert(Fingerprinter.chunks(FingerprintSpec.full(d), 3) <= 1)
+    }
+    assert(Fingerprinter.chunks(FingerprintSpec.full(3), 7) <= 1, "STAGGER")
     val workers = java.util.concurrent.ForkJoinPool.getCommonPoolParallelism
-    assert(chunks(FingerprintSpec.full(63)) == math.min(workers + 1, 67 / Fingerprinter.MinChunkSources))
+    assert(Fingerprinter.chunks(FingerprintSpec.full(63), 67) == math.min(workers + 1, 67 / Fingerprinter.MinChunkSources))
   }
 
   test("four engines stepped at once on a 4-thread pool give the outcomes of each run alone") {

@@ -115,6 +115,14 @@ class FingerprintSpecSuite extends AnyFunSuite {
       Fingerprinter.make(FingerprintSpec.full(2), IndexedSeq.empty, None))
   }
 
+  test("a window past the loaded rows is rejected, though an earlier longer load left its columns") {
+    val ws = new Fingerprinter.Workspace(FingerprintSpec.full(2)).load(IndexedSeq.fill(30)(window(0)))
+    ws.load(window)
+    assert(Fingerprinter.make(ws, Seq(0), 3).length == 1)
+    intercept[IllegalArgumentException](Fingerprinter.make(ws, Seq(0), 4))
+    intercept[IllegalArgumentException](Fingerprinter.make(ws, Seq(1), 3))
+  }
+
   test("fingerprints contain no NaN/Inf on degenerate windows") {
     val constant = IndexedSeq.fill(20)(Labeled(Array(0.5, 0.5), 0, 0))
     val fp = Fingerprinter.make(FingerprintSpec.full(2), constant, None)
